@@ -1,6 +1,8 @@
 #include "dftl/dftl.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "core/contracts.hpp"
 
@@ -111,35 +113,40 @@ BlockIndex Dftl::gc_trigger_level() const noexcept {
 
 // -- packed translation-page codec -------------------------------------------
 
+// The on-flash format is little-endian u32 entries, so both directions are a
+// plain word copy on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the translation-page codec copies entries as little-endian words");
+
 void Dftl::encode_tpage(const std::uint32_t* entries) {
-  std::fill(tpage_buf_.begin(), tpage_buf_.end(), std::uint8_t{0});
-  for (std::uint32_t i = 0; i < config_.lbas_per_tpage; ++i) {
-    const std::uint32_t e = entries[i];
-    tpage_buf_[4 * i + 0] = static_cast<std::uint8_t>(e & 0xFF);
-    tpage_buf_[4 * i + 1] = static_cast<std::uint8_t>((e >> 8) & 0xFF);
-    tpage_buf_[4 * i + 2] = static_cast<std::uint8_t>((e >> 16) & 0xFF);
-    tpage_buf_[4 * i + 3] = static_cast<std::uint8_t>((e >> 24) & 0xFF);
-  }
+  // tpage_buf_'s tail past the entries was zeroed by init_config and nothing
+  // else writes it, so only the entries are copied.
+  std::memcpy(tpage_buf_.data(), entries, sizeof(std::uint32_t) * config_.lbas_per_tpage);
 }
 
-void Dftl::peek_tpage(Ppa src, std::uint32_t* entries) const {
+std::span<const std::uint8_t> Dftl::read_tpage(Ppa src) const {
   const nand::PageReadResult r = chip().read_page(src);
   SWL_ASSERT(r.status == Status::ok, "translation page unreadable");
   SWL_ASSERT(r.spare.role == nand::PageRole::translation,
              "GTD points at a non-translation page");
-  SWL_ASSERT(r.data.size() >= 4ULL * config_.lbas_per_tpage,
+  SWL_ASSERT(r.data.size() >= sizeof(std::uint32_t) * config_.lbas_per_tpage,
              "translation page stored without its byte payload");
-  for (std::uint32_t i = 0; i < config_.lbas_per_tpage; ++i) {
-    entries[i] = static_cast<std::uint32_t>(r.data[4 * i + 0]) |
-                 (static_cast<std::uint32_t>(r.data[4 * i + 1]) << 8) |
-                 (static_cast<std::uint32_t>(r.data[4 * i + 2]) << 16) |
-                 (static_cast<std::uint32_t>(r.data[4 * i + 3]) << 24);
-  }
+  return r.data;
+}
+
+void Dftl::peek_tpage(Ppa src, std::uint32_t* entries) const {
+  std::memcpy(entries, read_tpage(src).data(), sizeof(std::uint32_t) * config_.lbas_per_tpage);
 }
 
 void Dftl::decode_tpage(Ppa src, std::uint32_t* entries) {
   peek_tpage(src, entries);
   count_map_read();
+}
+
+std::uint32_t Dftl::peek_entry(Ppa tpage, std::uint32_t idx) const {
+  std::uint32_t e = 0;
+  std::memcpy(&e, read_tpage(tpage).data() + sizeof(std::uint32_t) * idx, sizeof(e));
+  return e;
 }
 
 // -- CMT (exact LRU over a flat arena) ---------------------------------------
@@ -341,9 +348,8 @@ Status Dftl::write_internal(Lba lba, std::uint64_t payload_token,
   return Status::ok;
 }
 
-Status Dftl::read_impl(Lba lba, std::uint64_t* payload_token) {
+Status Dftl::lookup_for_read(Lba lba, Ppa* src) {
   SWL_REQUIRE(lba < config_.lba_count, "LBA out of range");
-  SWL_REQUIRE(payload_token != nullptr, "null output");
   // A cache miss may have to write back a dirty translation page, so reads
   // maintain the free-block level too (unlike the in-RAM FTL, a DFTL read is
   // not write-free).
@@ -354,20 +360,26 @@ Status Dftl::read_impl(Lba lba, std::uint64_t* payload_token) {
   if (slot_of_[tvpn] != kNoSlot || !cannot_afford_writeback()) {
     slot = ensure_resident(tvpn);
   }
-  Ppa src;
   if (slot == kNoSlot) {
     // No room to evict (or the eviction write-back found no destination,
-    // possible under media-error storms): peek the map entry straight from
+    // possible under media-error storms): read the map entry straight from
     // flash, uncached. Reads must stay available even with a full dirty CMT
     // and an exhausted pool.
     const Ppa tpage = gtd_[tvpn];
     if (!tpage.valid()) return Status::lba_not_mapped;
-    decode_tpage(tpage, rmw_entries_.data());
-    src = unpack_entry(rmw_entries_[idx]);
+    *src = unpack_entry(peek_entry(tpage, idx));
+    count_map_read();
   } else {
-    src = unpack_entry(slot_entries(slot)[idx]);
+    *src = unpack_entry(slot_entries(slot)[idx]);
   }
-  if (!src.valid()) return Status::lba_not_mapped;
+  return src->valid() ? Status::ok : Status::lba_not_mapped;
+}
+
+Status Dftl::read_impl(Lba lba, std::uint64_t* payload_token) {
+  SWL_REQUIRE(payload_token != nullptr, "null output");
+  Ppa src;
+  const Status st = lookup_for_read(lba, &src);
+  if (st != Status::ok) return st;
   const std::uint64_t token = chip().read_token(src);
   SWL_ASSERT(chip().spare(src).lba == lba, "spare-area LBA does not match the mapping");
   *payload_token = token;
@@ -378,29 +390,14 @@ Status Dftl::read_impl(Lba lba, std::uint64_t* payload_token) {
 Status Dftl::read(Lba lba, std::uint64_t* payload_token) { return read_impl(lba, payload_token); }
 
 Status Dftl::read_bytes(Lba lba, std::span<std::uint8_t> out) {
-  SWL_REQUIRE(lba < config_.lba_count, "LBA out of range");
   SWL_REQUIRE(out.size() == chip().geometry().page_size_bytes, "out must be exactly one page");
-  if (pool_.size() < gc_trigger_cached_) maybe_gc();
-  const Lba tvpn = tvpn_of(lba);
-  const std::uint32_t idx = lba % config_.lbas_per_tpage;
-  std::uint32_t slot = kNoSlot;
-  if (slot_of_[tvpn] != kNoSlot || !cannot_afford_writeback()) {
-    slot = ensure_resident(tvpn);
-  }
   Ppa src;
-  if (slot == kNoSlot) {
-    const Ppa tpage = gtd_[tvpn];
-    if (!tpage.valid()) return Status::lba_not_mapped;
-    decode_tpage(tpage, rmw_entries_.data());
-    src = unpack_entry(rmw_entries_[idx]);
-  } else {
-    src = unpack_entry(slot_entries(slot)[idx]);
-  }
-  if (!src.valid()) return Status::lba_not_mapped;
+  const Status st = lookup_for_read(lba, &src);
+  if (st != Status::ok) return st;
   const nand::PageReadResult r = chip().read_page(src);
   SWL_ASSERT(r.status == Status::ok, "mapping pointed at an unreadable page");
-  std::fill(out.begin(), out.end(), std::uint8_t{0});
-  std::copy(r.data.begin(), r.data.end(), out.begin());
+  const auto tail = std::copy(r.data.begin(), r.data.end(), out.begin());
+  std::fill(tail, out.end(), std::uint8_t{0});
   finish_host_read();
   return Status::ok;
 }
@@ -969,9 +966,7 @@ Ppa Dftl::translate(Lba lba) const {
   const std::uint32_t slot = slot_of_[tvpn];
   if (slot != kNoSlot) return unpack_entry(slot_entries(slot)[idx]);
   if (!gtd_[tvpn].valid()) return kInvalidPpa;
-  std::vector<std::uint32_t> entries(config_.lbas_per_tpage);
-  peek_tpage(gtd_[tvpn], entries.data());
-  return unpack_entry(entries[idx]);
+  return unpack_entry(peek_entry(gtd_[tvpn], idx));
 }
 
 bool Dftl::is_resident(Lba tvpn) const {

@@ -19,6 +19,12 @@
 //     collection picks the better-scoring candidate across the two classes —
 //     translation-block GC competes for the same blocks SWL levels.
 //
+// On flash a translation page is a packed array: entry i (the map entry of
+// LBA tvpn * lbas_per_tpage + i) is the little-endian u32 at bytes 4i..4i+3,
+// holding the physical page number block * pages_per_block + page, or
+// 0xFFFFFFFF when the LBA is unmapped. Every byte past 4 * lbas_per_tpage is
+// zero.
+//
 // Data-path GC never recurses through the cache: mapping updates for
 // relocated pages of non-resident translation pages are applied as direct
 // read-modify-write programs of the translation page (the classic DFTL batch
@@ -40,6 +46,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "tl/free_block_pool.hpp"
@@ -235,12 +242,18 @@ class Dftl final : public tl::TranslationLayer {
 
   /// Serializes `entries` (lbas_per_tpage packed entries) into tpage_buf_.
   void encode_tpage(const std::uint32_t* entries);
+  /// Reads a flash translation page (a real chip read) and checks its role,
+  /// status and payload size; the view stays valid until its block is erased.
+  [[nodiscard]] std::span<const std::uint8_t> read_tpage(Ppa src) const;
   /// Decodes a flash translation page into `entries` without touching the
   /// map-read counter (introspection / invariant checking).
   void peek_tpage(Ppa src, std::uint32_t* entries) const;
   /// Decodes a flash translation page into `entries`; a real chip read
   /// (counted as map_read).
   void decode_tpage(Ppa src, std::uint32_t* entries);
+  /// Packed entry `idx` of a flash translation page (a real chip read),
+  /// without touching the map-read counter.
+  [[nodiscard]] std::uint32_t peek_entry(Ppa tpage, std::uint32_t idx) const;
 
   // -- CMT ------------------------------------------------------------------
   void lru_unlink(std::uint32_t slot);
@@ -270,6 +283,10 @@ class Dftl final : public tl::TranslationLayer {
   // -- write/read paths -----------------------------------------------------
   Status write_internal(Lba lba, std::uint64_t payload_token,
                         std::span<const std::uint8_t> data);
+  /// Shared front half of read() and read_bytes(): resolves `lba` through
+  /// the CMT, or straight from flash when no slot can be freed. Returns
+  /// lba_not_mapped for an unmapped LBA.
+  Status lookup_for_read(Lba lba, Ppa* src);
   Status read_impl(Lba lba, std::uint64_t* payload_token);
 
   /// Record-replay fast paths: the fast write handles the common case (fast
@@ -356,7 +373,8 @@ class Dftl final : public tl::TranslationLayer {
   std::uint64_t write_sequence_ = 0;
   BlockIndex gc_trigger_cached_ = 4;
 
-  // Scratch for encode_tpage / decode-at-mount (one page).
+  // One encoded translation page, handed to program_page; encode_tpage
+  // writes only the entries, so the tail past them stays zero.
   std::vector<std::uint8_t> tpage_buf_;
   // Scratch entries for direct GC read-modify-writes.
   std::vector<std::uint32_t> rmw_entries_;

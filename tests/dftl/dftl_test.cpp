@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -22,10 +23,11 @@
 namespace swl::dftl {
 namespace {
 
-std::unique_ptr<nand::NandChip> make_chip(BlockIndex blocks = 16, PageIndex pages = 8) {
+std::unique_ptr<nand::NandChip> make_chip(BlockIndex blocks = 16, PageIndex pages = 8,
+                                          std::uint32_t page_bytes = 512) {
   nand::NandConfig cc;
   cc.geometry = FlashGeometry{.block_count = blocks, .pages_per_block = pages,
-                              .page_size_bytes = 512};
+                              .page_size_bytes = page_bytes};
   cc.timing = default_timing(CellType::slc_small_block);
   cc.store_payload_bytes = true;  // translation pages are byte payloads
   return std::make_unique<nand::NandChip>(cc);
@@ -182,6 +184,157 @@ TEST(Dftl, TranslateAgreesWithCmtAndFlash) {
     EXPECT_EQ(t, shadow[lba]) << "lba " << lba;
   }
   EXPECT_NO_THROW(dftl.check_invariants());
+}
+
+// Packed on-flash form of one map entry: the physical page number, or
+// 0xFFFFFFFF for an unmapped LBA.
+std::uint32_t packed_entry(const nand::NandChip& chip, Ppa p) {
+  return p.valid() ? p.block * chip.geometry().pages_per_block + p.page : 0xFFFFFFFFu;
+}
+
+// Checks the flash image of tvpn's current translation page byte by byte:
+// entry i is the little-endian u32 at bytes 4i..4i+3, and every byte past
+// the last entry is zero.
+void expect_tpage_image(const nand::NandChip& chip, const Dftl& dftl, Lba tvpn,
+                        const std::vector<Ppa>& expected) {
+  const Ppa where = dftl.tpage_location(tvpn);
+  ASSERT_TRUE(where.valid()) << "tvpn " << tvpn;
+  const nand::PageReadResult r = chip.read_page(where);
+  ASSERT_EQ(r.status, Status::ok);
+  ASSERT_EQ(r.data.size(), chip.geometry().page_size_bytes);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const std::uint32_t e = packed_entry(chip, expected[i]);
+    for (std::size_t b = 0; b < 4; ++b) {
+      EXPECT_EQ(r.data[4 * i + b], (e >> (8 * b)) & 0xFFu) << "entry " << i << " byte " << b;
+    }
+  }
+  for (std::size_t k = 4 * expected.size(); k < r.data.size(); ++k) {
+    ASSERT_EQ(r.data[k], 0u) << "tail byte " << k;
+  }
+}
+
+TEST(Dftl, TranslationPageOnFlashIsLittleEndianPackedEntriesWithAZeroTail) {
+  auto chip = make_chip(16, 8, 2048);  // 8 entries use 32 of 2048 bytes
+  DftlConfig cfg = small_config();
+  cfg.cmt_capacity = 1;
+  cfg.writeback_batch = 1;
+  Dftl dftl(*chip, cfg);
+  ASSERT_EQ(dftl.lbas_per_tpage(), 8u);
+
+  const auto cmt_snapshot = [&dftl] {
+    std::vector<Ppa> entries;
+    for (Lba lba = 0; lba < 8; ++lba) entries.push_back(dftl.cmt_entry(lba));
+    return entries;
+  };
+
+  // tvpn 0 with a mix of mapped and unmapped entries; touching tvpn 1 then
+  // evicts it dirty, which writes it back.
+  for (const Lba lba : {0u, 2u, 3u, 5u, 7u}) ASSERT_EQ(dftl.write(lba, 10 + lba), Status::ok);
+  const std::vector<Ppa> first = cmt_snapshot();
+  ASSERT_FALSE(first[1].valid());
+  ASSERT_EQ(dftl.write(8, 99), Status::ok);
+  ASSERT_FALSE(dftl.is_resident(0));
+  expect_tpage_image(*chip, dftl, 0, first);
+  const Ppa first_location = dftl.tpage_location(0);
+
+  // Second write-back of the same tvpn: fetch it, change two entries, evict.
+  ASSERT_EQ(dftl.write(1, 200), Status::ok);
+  ASSERT_EQ(dftl.write(0, 201), Status::ok);
+  const std::vector<Ppa> second = cmt_snapshot();
+  ASSERT_EQ(dftl.write(16, 202), Status::ok);
+  ASSERT_FALSE(dftl.is_resident(0));
+  ASSERT_NE(dftl.tpage_location(0), first_location);
+  expect_tpage_image(*chip, dftl, 0, second);
+  for (Lba lba = 0; lba < 8; ++lba) EXPECT_EQ(dftl.translate(lba), second[lba]) << "lba " << lba;
+  EXPECT_NO_THROW(dftl.check_invariants());
+}
+
+TEST(Dftl, UncachedFallbackReadCountsOneMapReadAndOneNandRead) {
+  // Every erase fails, so garbage collection retires its victims and the
+  // pool drains. Hammering tvpn 0 and 1 then leaves both CMT slots dirty
+  // with no block to write either back: a miss must read the map entry
+  // straight from flash.
+  nand::NandConfig cc;
+  cc.geometry = FlashGeometry{.block_count = 16, .pages_per_block = 8, .page_size_bytes = 512};
+  cc.timing = default_timing(CellType::slc_small_block);
+  cc.store_payload_bytes = true;
+  cc.failures.erase_fail_p = 1.0;
+  nand::NandChip chip(cc);
+  DftlConfig cfg = small_config();
+  cfg.writeback_batch = 1;
+  Dftl dftl(chip, cfg);
+
+  // Map every LBA but 63, so every translation page has a flash version.
+  for (Lba lba = 0; lba < 63; ++lba) ASSERT_EQ(dftl.write(lba, lba + 1), Status::ok);
+  Status st = Status::ok;
+  for (std::uint64_t i = 0; i < 10000 && st == Status::ok; ++i) {
+    st = dftl.write(static_cast<Lba>(i % 16), 1000 + i);
+  }
+  ASSERT_EQ(st, Status::out_of_space);
+  ASSERT_EQ(dftl.free_block_count(), 0u);
+  ASSERT_TRUE(dftl.is_resident(0) && dftl.is_dirty(0));
+  ASSERT_TRUE(dftl.is_resident(1) && dftl.is_dirty(1));
+
+  const auto expect_one_uncached_read = [&](Lba lba, Status want, std::uint64_t nand_reads) {
+    const std::uint64_t misses = dftl.stats().cmt_misses;
+    const std::uint64_t map_reads = dftl.counters().map_reads;
+    const std::uint64_t reads = chip.counters().reads;
+    std::uint64_t token = 0;
+    EXPECT_EQ(dftl.read(lba, &token), want) << "lba " << lba;
+    if (want == Status::ok) {
+      EXPECT_EQ(token, lba + 1) << "lba " << lba;
+    }
+    EXPECT_EQ(dftl.stats().cmt_misses, misses) << "the read went through the CMT";
+    EXPECT_FALSE(dftl.is_resident(dftl.tvpn_of(lba)));
+    EXPECT_EQ(dftl.counters().map_reads, map_reads + 1) << "lba " << lba;
+    EXPECT_EQ(chip.counters().reads, reads + nand_reads) << "lba " << lba;
+  };
+  // Mapped: one translation-page read plus the data read.
+  expect_one_uncached_read(16, Status::ok, 2);
+  expect_one_uncached_read(40, Status::ok, 2);
+  // Unmapped in a flash-resident page: exactly the translation-page read.
+  expect_one_uncached_read(63, Status::lba_not_mapped, 1);
+
+  // read_bytes takes the same fallback with the same accounting.
+  std::vector<std::uint8_t> page(chip.geometry().page_size_bytes, 0xAB);
+  const std::uint64_t map_reads = dftl.counters().map_reads;
+  const std::uint64_t reads = chip.counters().reads;
+  EXPECT_EQ(dftl.read_bytes(63, page), Status::lba_not_mapped);
+  EXPECT_EQ(dftl.counters().map_reads, map_reads + 1);
+  EXPECT_EQ(chip.counters().reads, reads + 1);
+  EXPECT_EQ(dftl.read_bytes(24, page), Status::ok);
+  EXPECT_EQ(dftl.counters().map_reads, map_reads + 2);
+  EXPECT_EQ(chip.counters().reads, reads + 3);
+  EXPECT_FALSE(dftl.is_resident(dftl.tvpn_of(24)));
+  // Written without bytes: the stored payload is empty, so the page reads
+  // back all zero.
+  EXPECT_EQ(std::count(page.begin(), page.end(), std::uint8_t{0}),
+            static_cast<std::ptrdiff_t>(page.size()));
+}
+
+TEST(Dftl, TranslateOfANonResidentLbaReadsFlashWithoutCountingAMapRead) {
+  auto chip = make_chip();
+  DftlConfig cfg = small_config();
+  cfg.cmt_capacity = 1;
+  Dftl dftl(*chip, cfg);
+  ASSERT_EQ(dftl.write(3, 7), Status::ok);
+  const Ppa where = dftl.cmt_entry(3);
+  ASSERT_EQ(dftl.write(8, 8), Status::ok);  // evicts tvpn 0 with a write-back
+  ASSERT_FALSE(dftl.is_resident(0));
+  ASSERT_TRUE(dftl.tpage_location(0).valid());
+
+  const std::uint64_t map_reads = dftl.counters().map_reads;
+  const std::uint64_t reads = chip->counters().reads;
+  EXPECT_EQ(dftl.translate(3), where);
+  EXPECT_FALSE(dftl.translate(4).valid());
+  EXPECT_EQ(dftl.counters().map_reads, map_reads);
+  EXPECT_EQ(chip->counters().reads, reads + 2);  // one chip read per lookup
+  EXPECT_FALSE(dftl.is_resident(0));
+
+  // A translation page that was never written back costs no read at all.
+  EXPECT_FALSE(dftl.translate(16).valid());
+  EXPECT_EQ(chip->counters().reads, reads + 2);
+  EXPECT_EQ(dftl.counters().map_reads, map_reads);
 }
 
 TEST(Dftl, MountAfterDirtyCmtKeepsEveryAcknowledgedWrite) {
