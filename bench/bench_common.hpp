@@ -206,7 +206,6 @@ inline runner::Json sim_result_json(const sim::SimResult& r) {
   perf.set("batch_fill_ratio", r.perf.batch_fill_ratio());
   perf.set("source_ns_per_record", r.perf.source_ns_per_record());
   perf.set("replay_ns_per_record", r.perf.replay_ns_per_record());
-  perf.set("fast_path_writes", r.counters.fast_path_writes);
   j.set("perf", std::move(perf));
   return j;
 }

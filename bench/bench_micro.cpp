@@ -396,8 +396,8 @@ std::uint64_t host_mt() {
 }
 
 /// The headline benchmark: the full batched replay pipeline — Simulator::run
-/// pulling a SegmentReplaySource through the layer's record fast paths at
-/// this binary's --blocks/--seed scale.
+/// pulling a SegmentReplaySource through the layer's write()/read() at this
+/// binary's --blocks/--seed scale.
 void replay_point(bench::BenchReport& report, const bench::Options& opt, sim::LayerKind kind,
                   const trace::Trace& base) {
   constexpr std::uint64_t kRecords = 8'000'000;
@@ -426,8 +426,7 @@ void replay_point(bench::BenchReport& report, const bench::Options& opt, sim::La
   const sim::PerfCounters& perf = result.perf;
   std::cout << "  " << name << ": " << sim::fmt(ips / 1e6, 2) << " Mrec/s  (" << records
             << " records in " << sim::fmt(seconds * 1e3, 1) << " ms, batch fill "
-            << sim::fmt(perf.batch_fill_ratio() * 100.0, 1) << "%, fast-path writes "
-            << result.counters.fast_path_writes << "/" << result.counters.host_writes << ")\n";
+            << sim::fmt(perf.batch_fill_ratio() * 100.0, 1) << "%)\n";
 
   runner::Json point = runner::Json::object();
   point.set("name", name);
@@ -442,7 +441,6 @@ void replay_point(bench::BenchReport& report, const bench::Options& opt, sim::La
   extra.set("batch_fill_ratio", perf.batch_fill_ratio());
   extra.set("source_ns_per_record", perf.source_ns_per_record());
   extra.set("replay_ns_per_record", perf.replay_ns_per_record());
-  extra.set("fast_path_writes", result.counters.fast_path_writes);
   extra.set("host_writes", result.counters.host_writes);
   extra.set("total_erases", result.counters.total_erases());
   extra.set("total_live_copies", result.counters.total_live_copies());
@@ -480,8 +478,7 @@ void sharded_replay_point(bench::BenchReport& report, const bench::Options& opt,
       seconds > 0.0 ? static_cast<double>(result.records_processed) / seconds : 0.0;
   std::cout << "  replay_ftl_sharded: " << sim::fmt(ips / 1e6, 2) << " Mrec/s  ("
             << result.records_processed << " records, " << opt.shards << " shard(s) on "
-            << runner::resolve_jobs(opt.jobs) << " job(s), fast-path writes "
-            << result.counters.fast_path_writes << "/" << result.counters.host_writes << ")\n";
+            << runner::resolve_jobs(opt.jobs) << " job(s))\n";
 
   runner::Json point = runner::Json::object();
   point.set("name", "replay_ftl_sharded");
@@ -493,7 +490,6 @@ void sharded_replay_point(bench::BenchReport& report, const bench::Options& opt,
   extra.set("jobs", static_cast<std::uint64_t>(runner::resolve_jobs(opt.jobs)));
   // Merged deterministic canaries: must not move unless the simulation, the
   // shard count or the seed derivation changed.
-  extra.set("fast_path_writes", result.counters.fast_path_writes);
   extra.set("host_writes", result.counters.host_writes);
   extra.set("total_erases", result.counters.total_erases());
   extra.set("total_live_copies", result.counters.total_live_copies());

@@ -102,7 +102,6 @@ void Dftl::init_config() {
   rmw_entries_.assign(config_.lbas_per_tpage, kUnmappedEntry);
   gc_trigger_cached_ = gc_trigger_level();
   use_victim_index_ = !config_.reference_victim_scan;
-  set_fast_paths(&Dftl::fast_write_thunk, &Dftl::fast_read_thunk);
 }
 
 BlockIndex Dftl::gc_trigger_level() const noexcept {
@@ -375,7 +374,7 @@ Status Dftl::lookup_for_read(Lba lba, Ppa* src) {
   return src->valid() ? Status::ok : Status::lba_not_mapped;
 }
 
-Status Dftl::read_impl(Lba lba, std::uint64_t* payload_token) {
+Status Dftl::read(Lba lba, std::uint64_t* payload_token) {
   SWL_REQUIRE(payload_token != nullptr, "null output");
   Ppa src;
   const Status st = lookup_for_read(lba, &src);
@@ -386,8 +385,6 @@ Status Dftl::read_impl(Lba lba, std::uint64_t* payload_token) {
   finish_host_read();
   return Status::ok;
 }
-
-Status Dftl::read(Lba lba, std::uint64_t* payload_token) { return read_impl(lba, payload_token); }
 
 Status Dftl::read_bytes(Lba lba, std::span<std::uint8_t> out) {
   SWL_REQUIRE(out.size() == chip().geometry().page_size_bytes, "out must be exactly one page");
@@ -400,47 +397,6 @@ Status Dftl::read_bytes(Lba lba, std::span<std::uint8_t> out) {
   std::fill(tail, out.end(), std::uint8_t{0});
   finish_host_read();
   return Status::ok;
-}
-
-Status Dftl::fast_read_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t* payload_token) {
-  return static_cast<Dftl&>(base).read_impl(lba, payload_token);
-}
-
-bool Dftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t payload_token) {
-  Dftl& self = static_cast<Dftl&>(base);
-  nand::NandChip& chip = self.chip();
-  // Bail-out checks first — nothing below them may mutate state. The fast
-  // path requires the translation page to be resident (no eviction, no
-  // fetch), the host frontier open and the pool above the GC trigger, so it
-  // mirrors write_internal's resident case statement for statement.
-  if (lba >= self.config_.lba_count || !chip.fast_media()) return false;
-  if (self.pool_.size() < self.gc_trigger_cached_) return false;
-  const PageIndex pages = chip.geometry().pages_per_block;
-  if (self.host_frontier_ == kInvalidBlock || self.host_next_page_ >= pages) return false;
-  const Lba tvpn = self.tvpn_of(lba);
-  const std::uint32_t slot = self.slot_of_[tvpn];
-  if (slot == kNoSlot) return false;
-  // Committed.
-  ++self.stats_.cmt_hits;
-  self.lru_touch(slot);
-  const Ppa dst{self.host_frontier_, self.host_next_page_++};
-  const Status st =
-      chip.program_page(dst, payload_token, nand::SpareArea{lba, ++self.write_sequence_, 0});
-  SWL_ASSERT(st == Status::ok, "fast-path frontier page was not programmable");
-  self.sync_victim(dst.block);
-  std::uint32_t* entries = self.slot_entries(slot);
-  const std::uint32_t idx = lba % self.config_.lbas_per_tpage;
-  const Ppa old = self.unpack_entry(entries[idx]);
-  if (old.valid()) {
-    const Status inv = chip.invalidate_page(old);
-    SWL_ASSERT(inv == Status::ok, "stale mapping pointed at an unprogrammed page");
-    self.sync_victim(old.block);
-  }
-  entries[idx] = self.pack_entry(dst);
-  self.slot_dirty_[slot] = 1;
-  if (self.sink_ != nullptr) self.sink_->on_mark_dirty(tvpn);
-  self.finish_host_write();
-  return true;
 }
 
 // -- garbage collection -------------------------------------------------------

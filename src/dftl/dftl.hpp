@@ -287,13 +287,6 @@ class Dftl final : public tl::TranslationLayer {
   /// the CMT, or straight from flash when no slot can be freed. Returns
   /// lba_not_mapped for an unmapped LBA.
   Status lookup_for_read(Lba lba, Ppa* src);
-  Status read_impl(Lba lba, std::uint64_t* payload_token);
-
-  /// Record-replay fast paths: the fast write handles the common case (fast
-  /// media, pool above trigger, frontier open, translation page resident)
-  /// and bails to write() otherwise; the fast read is read_impl itself.
-  static bool fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t payload_token);
-  static Status fast_read_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t* payload_token);
 
   // -- space management / GC ------------------------------------------------
   /// Next free page of a class frontier, opening a new block from the pool

@@ -61,8 +61,6 @@ void Ftl::init_config() {
   gc_trigger_cached_ = gc_trigger_level();
   bytes_mode_ = chip().config().store_payload_bytes;
   use_victim_index_ = !config_.reference_victim_scan;
-  set_fast_paths(&Ftl::fast_write_thunk, &Ftl::fast_read_thunk);
-  set_prefetch(&Ftl::prefetch_thunk);
 }
 
 void Ftl::rebuild_from_flash() {
@@ -208,7 +206,7 @@ Status Ftl::write_internal(Lba lba, std::uint64_t payload_token,
   return Status::ok;
 }
 
-Status Ftl::read_impl(Lba lba, std::uint64_t* payload_token) {
+Status Ftl::read(Lba lba, std::uint64_t* payload_token) {
   SWL_REQUIRE(lba < config_.lba_count, "LBA out of range");
   SWL_REQUIRE(payload_token != nullptr, "null output");
   const Ppa src = map_[lba];
@@ -218,68 +216,6 @@ Status Ftl::read_impl(Lba lba, std::uint64_t* payload_token) {
   *payload_token = token;
   finish_host_read();
   return Status::ok;
-}
-
-Status Ftl::read(Lba lba, std::uint64_t* payload_token) { return read_impl(lba, payload_token); }
-
-Status Ftl::fast_read_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t* payload_token) {
-  return static_cast<Ftl&>(base).read_impl(lba, payload_token);
-}
-
-bool Ftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t payload_token) {
-  Ftl& self = static_cast<Ftl&>(base);
-  nand::NandChip& chip = self.chip();
-  // Bail-out checks first — nothing below them may mutate state, so a bail
-  // replays the record through write_internal from scratch.
-  if (lba >= self.config_.lba_count || !chip.fast_media()) return false;
-  // Pool at or above the GC trigger: write_internal's maybe_gc() would not
-  // collect anything. Its frontier *sealing* is also safely deferred: a full
-  // frontier behaves exactly like a sealed one everywhere outside gc_once()
-  // (take_frontier_page opens a new block either way, clean_block counts no
-  // free pages in it and closes it when collected), and gc_once() only runs
-  // from maybe_gc(), which always seals first.
-  if (self.pool_.size() < self.gc_trigger_cached_) return false;
-  const PageIndex pages = chip.geometry().pages_per_block;
-  if (self.host_frontier_ == kInvalidBlock || self.host_next_page_ >= pages) return false;
-  const bool classify = self.hot_id_.has_value();
-  if (classify &&
-      (self.hot_frontier_ == kInvalidBlock || self.hot_next_page_ >= pages)) {
-    return false;  // the write might classify hot; both frontiers must be open
-  }
-  // Committed: this mirrors write_internal statement for statement.
-  bool hot = false;
-  if (classify) {
-    self.hot_id_->record_write(lba);
-    hot = self.hot_id_->is_hot(lba);
-  }
-  BlockIndex& frontier = hot ? self.hot_frontier_ : self.host_frontier_;
-  PageIndex& next_page = hot ? self.hot_next_page_ : self.host_next_page_;
-  const Ppa dst{frontier, next_page++};
-  const Status st =
-      chip.program_page(dst, payload_token, nand::SpareArea{lba, ++self.write_sequence_, 0});
-  SWL_ASSERT(st == Status::ok, "fast-path frontier page was not programmable");
-  self.sync_victim(dst.block);
-  self.last_write_seq_[dst.block] = self.write_sequence_;
-  const Ppa old = self.map_[lba];
-  if (old.valid()) {
-    const Status inv = chip.invalidate_page(old);
-    SWL_ASSERT(inv == Status::ok, "stale mapping pointed at an unprogrammed page");
-    self.sync_victim(old.block);
-  }
-  self.map_[lba] = dst;
-  self.finish_host_write();
-  return true;
-}
-
-void Ftl::prefetch_thunk(const tl::TranslationLayer& base, Lba near_lba, Lba far_lba) {
-  const Ftl& self = static_cast<const Ftl&>(base);
-  // The far record only needs its map entry on the way; the near record's
-  // entry was hinted when it was far, so loading it now is cheap and its
-  // mapped page's metadata (invalidated on overwrite, read on a read
-  // record) can be pulled too.
-  __builtin_prefetch(self.map_.data() + far_lba, 0, 1);
-  const Ppa near_ppa = self.map_[near_lba];
-  if (near_ppa.valid()) self.chip().prefetch_page(near_ppa);
 }
 
 Status Ftl::read_bytes(Lba lba, std::span<std::uint8_t> out) {

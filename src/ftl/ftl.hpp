@@ -124,18 +124,6 @@ class Ftl final : public tl::TranslationLayer {
   /// or the victim could not be cleaned (no destination space).
   bool gc_once();
 
-  /// Shared body of read() and the registered fast read.
-  Status read_impl(Lba lba, std::uint64_t* payload_token);
-
-  /// Record-replay fast paths (see TranslationLayer::set_fast_paths). The
-  /// fast write handles the common case — fast media, pool above the GC
-  /// trigger, destination frontier open — and bails to write() otherwise.
-  static bool fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t payload_token);
-  static Status fast_read_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t* payload_token);
-  /// Prefetch hint (see TranslationLayer::prefetch_records): pulls the far
-  /// record's map entry and the near record's mapped page toward the cache.
-  static void prefetch_thunk(const tl::TranslationLayer& base, Lba near_lba, Lba far_lba);
-
   /// Marks `b` for victim-index re-scoring after an operation changed its
   /// page counts (the index flushes lazily at the next GC selection).
   void sync_victim(BlockIndex b) {

@@ -18,9 +18,9 @@ namespace swl::model {
 
 namespace {
 
-/// A power-loss hook that never cuts power. Attaching it flips the chip's
-/// fast_media() off, forcing stack A's write_record through the virtual slow
-/// path — the cheapest way to toggle fast-path dispatch mid-run.
+/// A power-loss hook that never cuts power. Attaching it makes the chip
+/// consult a hook before every program and erase without changing any
+/// outcome — both stacks must stay bit-identical either way.
 class BenignHook final : public nand::PowerLossHook {
  public:
   nand::CrashDecision on_operation(nand::CrashOp /*op*/) override {
@@ -45,7 +45,6 @@ class Fnv {
 
 struct Stack {
   const char* id = "?";
-  bool fast = false;  // drive through write_record / read_record
   std::unique_ptr<nand::NandChip> chip;
   std::unique_ptr<tl::TranslationLayer> layer;
   wear::SwLeveler* leveler = nullptr;  // owned by layer
@@ -66,10 +65,8 @@ struct Stack {
 class Runner {
  public:
   explicit Runner(const FuzzSchedule& schedule) : sched_(schedule) {
-    a_.id = "stack A (fast)";
-    a_.fast = true;
-    b_.id = "stack B (slow)";
-    b_.fast = false;
+    a_.id = "stack A";
+    b_.id = "stack B";
     build_stack(a_);
     build_stack(b_);
   }
@@ -102,7 +99,6 @@ class Runner {
       }
     }
     out.fingerprint = fingerprint();
-    out.fast_path_writes = a_.layer->counters().fast_path_writes;
     return out;
   }
 
@@ -115,7 +111,7 @@ class Runner {
     // Stack B optionally runs the reference victim scans against A's
     // victim-index selection — a live equivalence check of tl::VictimIndex
     // under media errors, remounts and leveler interference.
-    cfg.reference_victim_scan = !s.fast && sched_.params.reference_scan_b;
+    cfg.reference_victim_scan = &s == &b_ && sched_.params.reference_scan_b;
     return cfg;
   }
 
@@ -124,7 +120,7 @@ class Runner {
     cfg.vba_count = sched_.params.vba_count;
     cfg.gc_cost_weight = sched_.params.gc_cost_weight;
     cfg.victim_policy = sched_.params.victim_policy;
-    cfg.reference_victim_scan = !s.fast && sched_.params.reference_scan_b;
+    cfg.reference_victim_scan = &s == &b_ && sched_.params.reference_scan_b;
     return cfg;
   }
 
@@ -135,7 +131,7 @@ class Runner {
     cfg.cmt_capacity = sched_.params.dftl_cmt_capacity;
     cfg.writeback_batch = sched_.params.dftl_writeback_batch;
     cfg.gc_cost_weight = sched_.params.gc_cost_weight;
-    cfg.reference_victim_scan = !s.fast && sched_.params.reference_scan_b;
+    cfg.reference_victim_scan = &s == &b_ && sched_.params.reference_scan_b;
     return cfg;
   }
 
@@ -290,11 +286,11 @@ class Runner {
   std::string write_one(Lba lba, std::uint64_t token) {
     a_.ref_store->begin_write(lba, token);
     b_.ref_store->begin_write(lba, token);
-    const Status sa = a_.layer->write_record(lba, token);
+    const Status sa = a_.layer->write(lba, token);
     const Status sb = b_.layer->write(lba, token);
     if (sa != sb) {
       std::ostringstream os;
-      os << "write status diverged at LBA " << lba << ": fast path " << sa << ", slow path "
+      os << "write status diverged at LBA " << lba << ": stack A " << sa << ", stack B "
          << sb;
       // Leave the reference stores resolved so teardown stays clean.
       a_.ref_store->fail_write();
@@ -314,12 +310,12 @@ class Runner {
   std::string read_one(Lba lba) {
     std::uint64_t ta = 0;
     std::uint64_t tb = 0;
-    const Status sa = a_.layer->read_record(lba, &ta);
+    const Status sa = a_.layer->read(lba, &ta);
     const Status sb = b_.layer->read(lba, &tb);
     std::ostringstream os;
     if (sa != sb || (sa == Status::ok && ta != tb)) {
-      os << "read diverged at LBA " << lba << ": fast path " << sa << "/" << ta
-         << ", slow path " << sb << "/" << tb;
+      os << "read diverged at LBA " << lba << ": stack A " << sa << "/" << ta
+         << ", stack B " << sb << "/" << tb;
       return os.str();
     }
     const std::uint64_t want = a_.ref_store->tokens()[lba];
@@ -350,7 +346,7 @@ class Runner {
       bool ca = false;
       bool cb = false;
       try {
-        sa = a_.layer->write_record(lba, token);
+        sa = a_.layer->write(lba, token);
       } catch (const nand::PowerLossError&) {
         ca = true;
       }
@@ -361,15 +357,15 @@ class Runner {
       }
       if (ca != cb) {
         std::ostringstream os;
-        os << "power was cut in only one stack at burst write " << i << " (fast path "
-           << (ca ? "crashed" : "survived") << ", slow path " << (cb ? "crashed" : "survived")
+        os << "power was cut in only one stack at burst write " << i << " (stack A "
+           << (ca ? "crashed" : "survived") << ", stack B " << (cb ? "crashed" : "survived")
            << ")";
         msg = os.str();
       } else if (ca) {
         crashed = true;  // both stacks died at the same operation; recover below
       } else if (sa != sb) {
         std::ostringstream os;
-        os << "write status diverged at LBA " << lba << ": fast path " << sa << ", slow path "
+        os << "write status diverged at LBA " << lba << ": stack A " << sa << ", stack B "
            << sb;
         msg = os.str();
       } else if (sa == Status::ok) {
@@ -413,7 +409,7 @@ class Runner {
       if (!msg.empty()) return std::string(s.id) + " vs wear model: " + msg;
     }
     {
-      std::string msg = s.ref_store->check_contents(*s.layer, s.fast);
+      std::string msg = s.ref_store->check_contents(*s.layer);
       if (!msg.empty()) return std::string(s.id) + " vs contents model: " + msg;
     }
     try {
@@ -434,21 +430,21 @@ class Runner {
     const auto& cb = b_.chip->counters();
     if (ca.reads != cb.reads || ca.programs != cb.programs || ca.erases != cb.erases ||
         ca.program_failures != cb.program_failures || ca.erase_failures != cb.erase_failures) {
-      os << "chip counters diverged (fast reads/programs/erases " << ca.reads << "/"
-         << ca.programs << "/" << ca.erases << ", slow " << cb.reads << "/" << cb.programs << "/"
+      os << "chip counters diverged (A reads/programs/erases " << ca.reads << "/"
+         << ca.programs << "/" << ca.erases << ", B " << cb.reads << "/" << cb.programs << "/"
          << cb.erases << ")";
       return os.str();
     }
     if (a_.chip->erase_counts() != b_.chip->erase_counts()) {
-      return "per-block erase counts diverged between the fast and slow stacks";
+      return "per-block erase counts diverged between stacks A and B";
     }
     const auto& ta = a_.layer->counters();
     const auto& tb = b_.layer->counters();
     if (ta.host_writes != tb.host_writes || ta.host_reads != tb.host_reads ||
         ta.gc_erases != tb.gc_erases || ta.swl_erases != tb.swl_erases ||
         ta.gc_live_copies != tb.gc_live_copies || ta.swl_live_copies != tb.swl_live_copies) {
-      os << "translation-layer counters diverged (fast gc/swl erases " << ta.gc_erases << "/"
-         << ta.swl_erases << ", slow " << tb.gc_erases << "/" << tb.swl_erases << ")";
+      os << "translation-layer counters diverged (A gc/swl erases " << ta.gc_erases << "/"
+         << ta.swl_erases << ", B " << tb.gc_erases << "/" << tb.swl_erases << ")";
       return os.str();
     }
     if (a_.leveler != nullptr) {
@@ -456,8 +452,8 @@ class Runner {
       const wear::SwLeveler& lb = *b_.leveler;
       if (la.ecnt() != lb.ecnt() || la.fcnt() != lb.fcnt() || la.findex() != lb.findex() ||
           la.bet().bits().words() != lb.bet().bits().words()) {
-        os << "leveler state diverged (fast ecnt/fcnt/findex " << la.ecnt() << "/" << la.fcnt()
-           << "/" << la.findex() << ", slow " << lb.ecnt() << "/" << lb.fcnt() << "/"
+        os << "leveler state diverged (A ecnt/fcnt/findex " << la.ecnt() << "/" << la.fcnt()
+           << "/" << la.findex() << ", B " << lb.ecnt() << "/" << lb.fcnt() << "/"
            << lb.findex() << ")";
         return os.str();
       }
@@ -466,7 +462,7 @@ class Runner {
       if (sa.collections_requested != sb.collections_requested ||
           sa.bet_resets != sb.bet_resets || sa.activations != sb.activations ||
           sa.stalls != sb.stalls) {
-        return "leveler statistics diverged between the fast and slow stacks";
+        return "leveler statistics diverged between stacks A and B";
       }
       for (unsigned slot = 0; slot < wear::SnapshotStore::kSlots; ++slot) {
         if (a_.store.read_slot(slot) != b_.store.read_slot(slot)) {
@@ -476,8 +472,8 @@ class Runner {
       }
     }
     if (a_.extra_observer_erases != b_.extra_observer_erases) {
-      os << "mid-run erase observers counted " << a_.extra_observer_erases << " (fast) vs "
-         << b_.extra_observer_erases << " (slow) erases";
+      os << "mid-run erase observers counted " << a_.extra_observer_erases << " (A) vs "
+         << b_.extra_observer_erases << " (B) erases";
       return os.str();
     }
     return {};

@@ -2,20 +2,19 @@
 //
 // A schedule — deterministic in its seed — drives two production stacks over
 // two identical simulated chips:
-//   stack A replays through the non-virtual record entry points
-//     (write_record / read_record: the simulator hot path),
-//   stack B replays through the virtual write / read slow paths,
+//   stack A replays through write / read with the layer's victim index,
+//   stack B replays the same records, optionally with the reference victim
+//     scans (FuzzParams::reference_scan_b) in place of the index,
 // and after every step both are cross-checked against each other and against
 // the executable reference models of src/model (logical contents, mapping
 // structure, erase accounting, the SW Leveler's recomputed-from-the-raw-log
 // state, BET snapshot bytes) plus the layers' own check_invariants().
 //
 // Steps cover host bursts, mid-run power-loss-hook and erase-observer
-// attach/detach (toggling the fast path off and on), BET snapshot saves,
-// clean power cycles and crash bursts with deterministic crash-point
-// injection (reusing src/fault). Any divergence yields the failing step and
-// a diagnostic; minimize() shrinks a failing schedule to a small replayable
-// reproducer.
+// attach/detach, BET snapshot saves, clean power cycles and crash bursts
+// with deterministic crash-point injection (reusing src/fault). Any
+// divergence yields the failing step and a diagnostic; minimize() shrinks a
+// failing schedule to a small replayable reproducer.
 #ifndef SWL_MODEL_FUZZ_HPP
 #define SWL_MODEL_FUZZ_HPP
 
@@ -36,7 +35,7 @@ namespace swl::model {
 ///   read_burst     a = RNG seed, b = read count
 ///   single_write   a = LBA
 ///   single_read    a = LBA
-///   hook_attach    (attach a benign power-loss hook: fast path off)
+///   hook_attach    (attach a power-loss hook that never cuts power)
 ///   hook_detach
 ///   observer_attach (attach a counting chip erase observer)
 ///   observer_detach
@@ -130,8 +129,6 @@ struct FuzzOutcome {
   /// FNV-1a digest of the final observable state (erase counts, logical
   /// contents, leveler state, counters); bit-stable for a given schedule.
   std::uint64_t fingerprint = 0;
-  /// Stack A writes that completed through the registered fast path.
-  std::uint64_t fast_path_writes = 0;
 };
 
 /// Derives a full schedule (params + steps) from `seed`, deterministically.

@@ -58,13 +58,12 @@ std::string RefStore::resolve_after_crash(tl::TranslationLayer& layer) {
   return {};
 }
 
-std::string RefStore::check_contents(tl::TranslationLayer& layer, bool fast_api) const {
+std::string RefStore::check_contents(tl::TranslationLayer& layer) const {
   SWL_REQUIRE(inflight_lba_ == kInvalidLba, "checking with a write in flight");
   if (layer.lba_count() != tokens_.size()) return "layer exports a different LBA count";
   for (Lba lba = 0; lba < tokens_.size(); ++lba) {
     std::uint64_t token = 0;
-    const Status st =
-        fast_api ? layer.read_record(lba, &token) : layer.read(lba, &token);
+    const Status st = layer.read(lba, &token);
     if (tokens_[lba] == 0) {
       if (st != Status::lba_not_mapped) {
         return lba_diag("never-written LBA is mapped", lba, token, 0);

@@ -49,9 +49,9 @@ class RefStore {
   /// Returns "" or a diagnostic when neither version is there.
   [[nodiscard]] std::string resolve_after_crash(tl::TranslationLayer& layer);
 
-  /// Sweeps every LBA through read_record (fast_api) or the virtual read and
-  /// compares against the model. Returns "" when consistent.
-  [[nodiscard]] std::string check_contents(tl::TranslationLayer& layer, bool fast_api) const;
+  /// Sweeps every LBA through the layer's read and compares against the
+  /// model. Returns "" when consistent.
+  [[nodiscard]] std::string check_contents(tl::TranslationLayer& layer) const;
 
   [[nodiscard]] Lba lba_count() const noexcept { return static_cast<Lba>(tokens_.size()); }
   [[nodiscard]] const std::vector<std::uint64_t>& tokens() const noexcept { return tokens_; }

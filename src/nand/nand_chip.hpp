@@ -213,22 +213,6 @@ class NandChip {
     power_loss_hook_ = hook;
   }
 
-  /// True when no failure injection is configured and no power-loss hook is
-  /// attached — programs on free pages of non-retired blocks cannot fail.
-  /// Translation layers key their non-branching write fast paths off this.
-  [[nodiscard]] bool fast_media() const noexcept {
-    return !inject_failures_ && power_loss_hook_ == nullptr;
-  }
-
-  /// Hints the CPU to pull the page's metadata cache line in ahead of an
-  /// upcoming read_token/page_state/spare visit. Purely advisory: no timing,
-  /// no counters, no state change. `addr` must be a valid address.
-  void prefetch_page(Ppa addr) const noexcept {
-    __builtin_prefetch(pages_.data() + static_cast<std::size_t>(addr.block) * page_stride_ +
-                           addr.page,
-                       /*rw=*/0, /*locality=*/1);
-  }
-
   // -- misc -----------------------------------------------------------------
 
   [[nodiscard]] const FlashGeometry& geometry() const noexcept { return config_.geometry; }
@@ -310,8 +294,8 @@ class NandChip {
   std::vector<Block> blocks_;
   /// All pages of the chip in one flat array (block-major, stride
   /// page_stride_). One contiguous allocation keeps sequential page visits —
-  /// GC copy loops, spare-area scans, the prefetch hot path — on adjacent
-  /// cache lines instead of chasing a per-block vector indirection.
+  /// GC copy loops, spare-area scans — on adjacent cache lines instead of
+  /// chasing a per-block vector indirection.
   std::vector<Page> pages_;
   std::size_t page_stride_ = 0;  // == geometry.pages_per_block, cached
   std::vector<std::uint32_t> erase_counts_;

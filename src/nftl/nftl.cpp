@@ -58,8 +58,6 @@ void Nftl::init_config() {
   bytes_mode_ = chip().config().store_payload_bytes;
   maybe_invalid_.assign(geo.block_count, 0);
   use_victim_index_ = !config_.reference_victim_scan;
-  set_fast_paths(&Nftl::fast_write_thunk, &Nftl::fast_read_thunk);
-  set_prefetch(&Nftl::prefetch_thunk);
 }
 
 void Nftl::rebuild_from_flash() {
@@ -437,7 +435,7 @@ bool Nftl::fold(Vba vba) {
   return false;
 }
 
-Status Nftl::read_impl(Lba lba, std::uint64_t* payload_token) {
+Status Nftl::read(Lba lba, std::uint64_t* payload_token) {
   SWL_REQUIRE(lba < lba_count_, "LBA out of range");
   SWL_REQUIRE(payload_token != nullptr, "null output");
   const Ppa src = latest_[lba];
@@ -449,76 +447,6 @@ Status Nftl::read_impl(Lba lba, std::uint64_t* payload_token) {
   *payload_token = token;
   finish_host_read();
   return Status::ok;
-}
-
-Status Nftl::read(Lba lba, std::uint64_t* payload_token) { return read_impl(lba, payload_token); }
-
-Status Nftl::fast_read_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t* payload_token) {
-  return static_cast<Nftl&>(base).read_impl(lba, payload_token);
-}
-
-bool Nftl::fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t payload_token) {
-  Nftl& self = static_cast<Nftl&>(base);
-  nand::NandChip& chip = self.chip();
-
-  // Bail checks, all before any mutation, so the virtual slow path replays
-  // the write identically after a false return.
-  //   - out-of-range LBA: write_internal's SWL_REQUIRE must fire.
-  //   - slow media (failure injection / power-loss hook): programs may fail
-  //     or crash; only write_internal handles those.
-  //   - pool below the GC trigger: maybe_gc would act. Above it the write
-  //     also cannot hit out_of_space (trigger >= min_free_blocks).
-  //   - unmapped primary, or primary page taken with no appendable
-  //     replacement page: an allocation or a fold is needed.
-  if (lba >= self.lba_count_) return false;
-  if (!chip.fast_media()) return false;
-  if (self.pool_.size() < self.gc_trigger_cached_) return false;
-
-  const PageIndex pages = chip.geometry().pages_per_block;
-  const Vba vba = lba / pages;
-  const PageIndex offset = lba % pages;
-  const BlockIndex primary = self.vmap_[vba].primary;
-  if (primary == kInvalidBlock) return false;
-
-  Ppa dst{primary, offset};
-  nand::PageRole role = nand::PageRole::primary;
-  if (chip.page_state(dst) != PageState::free) {
-    const BlockIndex replacement = self.vmap_[vba].replacement;
-    if (replacement == kInvalidBlock || self.vmap_[vba].replacement_next >= pages) return false;
-    dst = Ppa{replacement, self.vmap_[vba].replacement_next++};
-    role = nand::PageRole::replacement;
-  }
-
-  // Committed: from here this mirrors write_internal exactly. On fast media
-  // a program of a free page in a live (never-retired-while-mapped) block
-  // cannot fail.
-  const Status st = chip.program_page(
-      dst, payload_token, nand::SpareArea{lba, ++self.write_sequence_, 0, role}, {});
-  SWL_ASSERT(st == Status::ok, "fast-path destination page was not programmable");
-  self.sync_victim(dst.block);
-  self.last_write_seq_[dst.block] = self.write_sequence_;
-  const Ppa old = self.latest_[lba];
-  if (old.valid()) {
-    const Status inv = chip.invalidate_page(old);
-    SWL_ASSERT(inv == Status::ok, "stale version pointed at an unprogrammed page");
-    self.note_invalid(old.block);
-    self.sync_victim(old.block);
-  }
-  self.latest_[lba] = dst;
-  self.finish_host_write();
-  return true;
-}
-
-void Nftl::prefetch_thunk(const tl::TranslationLayer& base, Lba near_lba, Lba far_lba) {
-  const Nftl& self = static_cast<const Nftl&>(base);
-  const PageIndex pages = self.chip().geometry().pages_per_block;
-  // The far record needs its version-index and VBA-table entries on the way;
-  // the near record is close enough that its current page's metadata
-  // (invalidated on overwrite, read on a read record) is worth pulling too.
-  __builtin_prefetch(self.latest_.data() + far_lba, 0, 1);
-  __builtin_prefetch(self.vmap_.data() + far_lba / pages, 0, 1);
-  const Ppa near_ppa = self.latest_[near_lba];
-  if (near_ppa.valid()) self.chip().prefetch_page(near_ppa);
 }
 
 Status Nftl::read_bytes(Lba lba, std::span<std::uint8_t> out) {

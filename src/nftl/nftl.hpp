@@ -122,20 +122,6 @@ class Nftl final : public tl::TranslationLayer {
   Status write_internal(Lba lba, std::uint64_t payload_token,
                         std::span<const std::uint8_t> data);
 
-  /// Shared body of read() and the registered fast read.
-  Status read_impl(Lba lba, std::uint64_t* payload_token);
-
-  /// Record-replay fast paths (see TranslationLayer::set_fast_paths). The
-  /// fast write handles the common case — fast media, pool above the GC
-  /// trigger, mapped primary, a destination page available without an
-  /// allocation or a fold — and bails to write() otherwise.
-  static bool fast_write_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t payload_token);
-  static Status fast_read_thunk(tl::TranslationLayer& base, Lba lba, std::uint64_t* payload_token);
-  /// Prefetch hint (see TranslationLayer::prefetch_records): pulls the far
-  /// record's version-index and VBA-table entries and the near record's
-  /// current page toward the cache.
-  static void prefetch_thunk(const tl::TranslationLayer& base, Lba near_lba, Lba far_lba);
-
   /// Marks `b` for victim-index re-scoring after an operation changed its
   /// page counts (the index flushes lazily at the next GC selection).
   void sync_victim(BlockIndex b) {

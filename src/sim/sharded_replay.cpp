@@ -51,7 +51,8 @@ SimResult merge_shard_results(const std::vector<SimResult>& shard_results) {
     merged.counters.swl_erases += s.counters.swl_erases;
     merged.counters.gc_live_copies += s.counters.gc_live_copies;
     merged.counters.swl_live_copies += s.counters.swl_live_copies;
-    merged.counters.fast_path_writes += s.counters.fast_path_writes;
+    merged.counters.map_reads += s.counters.map_reads;
+    merged.counters.map_writes += s.counters.map_writes;
     merged.chip_counters.reads += s.chip_counters.reads;
     merged.chip_counters.programs += s.chip_counters.programs;
     merged.chip_counters.erases += s.chip_counters.erases;

@@ -148,7 +148,7 @@ std::uint64_t Simulator::run(trace::TraceSource& source, double max_years,
       }
       clock_.advance_to(rec.time_us);
       if (rec.op == trace::Op::write) {
-        const Status st = layer.write_record(rec.lba, next_payload_++);
+        const Status st = layer.write(rec.lba, next_payload_++);
         SWL_ASSERT(st == Status::ok || st == Status::out_of_space || st == Status::program_failed,
                    "unexpected write failure");
         if (st == Status::out_of_space) {
@@ -158,7 +158,7 @@ std::uint64_t Simulator::run(trace::TraceSource& source, double max_years,
         }
       } else {
         std::uint64_t token = 0;
-        const Status st = layer.read_record(rec.lba, &token);
+        const Status st = layer.read(rec.lba, &token);
         SWL_ASSERT(st == Status::ok || st == Status::lba_not_mapped, "unexpected read failure");
       }
       batch_pos_ = i + 1;

@@ -5,11 +5,10 @@
 //
 // The record loop is batched: run() pulls records through
 // TraceSource::next_batch() into an owned buffer and replays them through the
-// layer's non-virtual write_record()/read_record() entry points. A carry
-// buffer keeps records pulled but not yet replayed when a call stops early
-// (horizon, failure, max_records), so resumed runs see the exact record
-// stream a per-record loop would — run_serial() is that reference loop, kept
-// for the equivalence tests.
+// layer's write()/read(). A carry buffer keeps records pulled but not yet
+// replayed when a call stops early (horizon, failure, max_records), so
+// resumed runs see the exact record stream a per-record loop would —
+// run_serial() is that reference loop, kept for the equivalence tests.
 #ifndef SWL_SIM_SIMULATOR_HPP
 #define SWL_SIM_SIMULATOR_HPP
 
@@ -99,7 +98,7 @@ struct SimResult {
   nand::NandCounters chip_counters;
   wear::LevelerStats leveler_stats;  // zeros when SWL is disabled
   /// Replay-throughput diagnostics (wall-clock; not part of the simulated
-  /// state). Fast-path hit rate = counters.fast_path_writes / host_writes.
+  /// state).
   PerfCounters perf;
 };
 
@@ -128,7 +127,7 @@ class Simulator {
 
   /// Reference implementation of run(): one record at a time through the
   /// virtual TraceSource::next() and TranslationLayer::write()/read()
-  /// interfaces — no batching, no registered fast paths. Exists to pin the
+  /// interfaces — no batching, no carry buffer. Exists to pin the
   /// batched pipeline: replaying the same trace through run() and
   /// run_serial() must produce bit-identical results. Do not interleave with
   /// run() on one source (run() may hold pulled records in its carry buffer).

@@ -34,10 +34,9 @@ struct TlCounters {
   std::uint64_t swl_erases = 0;
   std::uint64_t gc_live_copies = 0;
   std::uint64_t swl_live_copies = 0;
-  /// Host writes completed through the registered non-virtual fast path
-  /// (write_record); always <= host_writes. Diagnostic only — fast and slow
-  /// paths are bit-identical — surfaced so the simulator can report the
-  /// fast-path hit rate.
+  /// Always 0: every write goes through the layer's single write(). Kept
+  /// only because the end-to-end benchmark (perfbench/) still reads it for
+  /// its tl.fast_path_share metric; drop both together.
   std::uint64_t fast_path_writes = 0;
   /// Flash reads of mapping metadata (DFTL translation-page fetches); zero
   /// for layers whose map lives entirely in RAM.
@@ -79,40 +78,11 @@ class TranslationLayer : public wear::Cleaner {
   /// Reads the current content of one logical page.
   virtual Status read(Lba lba, std::uint64_t* payload_token) = 0;
 
-  // -- record-replay entry points (the simulator hot path) ------------------
-  // Non-virtual dispatch through function pointers the derived layer
-  // registers (set_fast_paths). write_record first attempts the layer's fast
-  // path — the common case with no GC trigger, no new-block allocation and
-  // no fold — and falls back to the virtual write() when the write needs the
-  // full machinery. Results are bit-identical either way; only the dispatch
-  // cost differs.
-
-  Status write_record(Lba lba, std::uint64_t payload_token) {
-    if (fast_write_ != nullptr && fast_write_(*this, lba, payload_token)) {
-      ++counters_.fast_path_writes;
-      return Status::ok;
-    }
-    return write(lba, payload_token);
-  }
-
-  Status read_record(Lba lba, std::uint64_t* payload_token) {
-    if (fast_read_ != nullptr) return fast_read_(*this, lba, payload_token);
-    return read(lba, payload_token);
-  }
-
-  /// Prefetch hint for batched replay drivers: `near_lba` is about to be
-  /// processed within a few records, `far_lba` within a few dozen. The layer
-  /// pulls the translation entries (and, for the near record, the mapped
-  /// page's metadata) toward the cache. Purely advisory — never changes
-  /// state, counters or timing; no-op when the layer registered no hook.
-  /// Simulator::run deliberately does NOT call this: any indirect call in
-  /// its drain loop forces spill-heavy codegen for every record and measured
-  /// slower than the misses it hides while the map fits in cache (see
-  /// EXPERIMENTS.md, "Profiling & re-baselining"). External replay drivers
-  /// with device-scale maps can call it around their own record loops.
-  void prefetch_records(Lba near_lba, Lba far_lba) const {
-    if (prefetch_ != nullptr) prefetch_(*this, near_lba, far_lba);
-  }
+  /// Forwards to write()/read(). Kept only because the end-to-end benchmark
+  /// (perfbench/) drives its replay through these names; nothing else may
+  /// call them. Drop them once perfbench/ stops calling them.
+  Status write_record(Lba lba, std::uint64_t payload_token) { return write(lba, payload_token); }
+  Status read_record(Lba lba, std::uint64_t* payload_token) { return read(lba, payload_token); }
 
   /// Byte-accurate variant: copies the page's stored bytes into `out`
   /// (exactly one page); pages written without bytes read back as zeros.
@@ -148,29 +118,6 @@ class TranslationLayer : public wear::Cleaner {
   void collect_blocks(BlockIndex first, BlockIndex count) final;
 
  protected:
-  /// A fast write attempt: returns true when it completed the write (having
-  /// done *exactly* what write() would have done), false to fall back to the
-  /// virtual slow path without having mutated anything.
-  using FastWriteFn = bool (*)(TranslationLayer&, Lba, std::uint64_t);
-  /// A fast read: must behave exactly like read() (reads have no slow-path
-  /// fallback — the registered function handles every case itself).
-  using FastReadFn = Status (*)(TranslationLayer&, Lba, std::uint64_t*);
-
-  /// A prefetch hint (see prefetch_records); must not mutate anything
-  /// observable — layers take the const layer and only issue
-  /// __builtin_prefetch on their own tables.
-  using PrefetchFn = void (*)(const TranslationLayer&, Lba, Lba);
-
-  /// Registers the derived layer's record-replay fast paths (either may be
-  /// null to keep virtual dispatch for that operation).
-  void set_fast_paths(FastWriteFn fast_write, FastReadFn fast_read) noexcept {
-    fast_write_ = fast_write;
-    fast_read_ = fast_read;
-  }
-
-  /// Registers the layer's prefetch hint (null to disable).
-  void set_prefetch(PrefetchFn prefetch) noexcept { prefetch_ = prefetch; }
-
   /// Implementation of the Cleaner request (garbage collect specific blocks).
   virtual void do_collect_blocks(BlockIndex first, BlockIndex count) = 0;
 
@@ -210,9 +157,6 @@ class TranslationLayer : public wear::Cleaner {
   std::vector<std::size_t> observer_tokens_;
   TlCounters counters_;
   bool serving_swl_ = false;
-  FastWriteFn fast_write_ = nullptr;
-  FastReadFn fast_read_ = nullptr;
-  PrefetchFn prefetch_ = nullptr;
 };
 
 }  // namespace swl::tl

@@ -13,8 +13,8 @@
 // (program, failed program, invalidation) just sets one bit in a dirty-block
 // mask, and the next victim query flushes the dirty blocks in batch against
 // the chip's live counts. A hot write frontier dirtied hundreds of times
-// between GC rounds is re-scored once, and the replay fast path pays one
-// bit-op per write instead of a score recomputation.
+// between GC rounds is re-scored once, and each host write pays one bit-op
+// instead of a score recomputation.
 //
 // An earlier revision kept a bucketed score heap (an intrusive list per
 // invalid-page count) for the fallback; the flat candidate mask replaced it
@@ -54,8 +54,8 @@ class VictimIndex {
   /// Marks `b` for re-scoring at the next flush(). Call after any operation
   /// that changes the block's valid/invalid counts: a program (successful or
   /// failed — a failed program consumes the page) or an invalidation.
-  /// Inline, one bit-op: this runs once or twice per host write on the
-  /// replay fast path. Never call for a retired block.
+  /// Inline, one bit-op: this runs once or twice per host write. Never call
+  /// for a retired block.
   void mark_dirty(BlockIndex b) { dirty_.set(b); }
 
   /// Re-scores every dirty block from the chip's current page counts. Must

@@ -47,10 +47,7 @@ ArrayOutcome run_once(unsigned jobs, bool use_serial) {
                       kRecords, /*stop_on_failure=*/false, use_serial);
 }
 
-// `compare_fast_path` is off when one side drove run_serial, which bypasses
-// the registered fast paths by design.
-void expect_identical_result(const SimResult& a, const SimResult& b,
-                             bool compare_fast_path = true) {
+void expect_identical_result(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.first_failure_years, b.first_failure_years);
   EXPECT_EQ(a.elapsed_years, b.elapsed_years);
   EXPECT_EQ(a.records_processed, b.records_processed);
@@ -59,9 +56,6 @@ void expect_identical_result(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.erase_summary.stddev, b.erase_summary.stddev);
   EXPECT_EQ(a.erase_summary.min, b.erase_summary.min);
   EXPECT_EQ(a.erase_summary.max, b.erase_summary.max);
-  if (compare_fast_path) {
-    EXPECT_EQ(a.counters.fast_path_writes, b.counters.fast_path_writes);
-  }
   EXPECT_EQ(a.counters.host_writes, b.counters.host_writes);
   EXPECT_EQ(a.counters.host_reads, b.counters.host_reads);
   EXPECT_EQ(a.counters.gc_erases, b.counters.gc_erases);
@@ -73,14 +67,13 @@ void expect_identical_result(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.chip_counters.erases, b.chip_counters.erases);
 }
 
-void expect_identical_outcome(const ArrayOutcome& a, const ArrayOutcome& b,
-                              bool compare_fast_path = true) {
+void expect_identical_outcome(const ArrayOutcome& a, const ArrayOutcome& b) {
   ASSERT_EQ(a.per_chip.size(), b.per_chip.size());
   for (std::size_t c = 0; c < a.per_chip.size(); ++c) {
     SCOPED_TRACE("chip " + std::to_string(c));
-    expect_identical_result(a.per_chip[c], b.per_chip[c], compare_fast_path);
+    expect_identical_result(a.per_chip[c], b.per_chip[c]);
   }
-  expect_identical_result(a.combined, b.combined, compare_fast_path);
+  expect_identical_result(a.combined, b.combined);
   EXPECT_EQ(a.array.records_routed, b.array.records_routed);
   EXPECT_EQ(a.array.writes_routed, b.array.writes_routed);
   EXPECT_EQ(a.array.reads_routed, b.array.reads_routed);
@@ -116,10 +109,11 @@ TEST(ArrayDeterminism, WorkerCountNeverChangesTheOutcome) {
 TEST(ArrayDeterminism, BatchedRoundsMatchSerialCanary) {
   const ArrayOutcome batched = run_once(4, /*use_serial=*/false);
   const ArrayOutcome serial = run_once(1, /*use_serial=*/true);
-  expect_identical_outcome(batched, serial, /*compare_fast_path=*/false);
-  // The canary really took the per-record path and the batched arm did not.
-  EXPECT_EQ(serial.combined.counters.fast_path_writes, 0u);
-  EXPECT_GT(batched.combined.counters.fast_path_writes, 0u);
+  expect_identical_outcome(batched, serial);
+  // The canary really took the per-record path and the batched arm did not:
+  // only Simulator::run counts records into the perf counters.
+  EXPECT_EQ(serial.combined.perf.records, 0u);
+  EXPECT_GT(batched.combined.perf.records, 0u);
 }
 
 TEST(ArrayDeterminism, CoordinatorMigratesUnderALowThreshold) {

@@ -23,7 +23,6 @@ TEST(FuzzHarness, SameSeedIsBitReproducible) {
     ASSERT_TRUE(first.ok) << "seed " << seed << ": " << first.message;
     ASSERT_TRUE(second.ok) << "seed " << seed << ": " << second.message;
     EXPECT_EQ(first.fingerprint, second.fingerprint) << "seed " << seed;
-    EXPECT_EQ(first.fast_path_writes, second.fast_path_writes) << "seed " << seed;
   }
 }
 
@@ -65,7 +64,7 @@ TEST(FuzzHarness, DeserializeRejectsGarbage) {
 }
 
 TEST(FuzzHarness, InjectedBetUpdateSkipIsCaughtAndMinimized) {
-  // Drop exactly one SWL-BETUpdate on the fast stack. The reference model
+  // Drop exactly one SWL-BETUpdate on stack A. The reference model
   // recomputes ecnt/fcnt from the raw erase log, so a single missing update
   // must surface as a divergence on some seed quickly.
   FuzzOptions options;
@@ -133,7 +132,7 @@ TEST(FuzzHarness, DftlScheduleSerializationRoundTrips) {
 }
 
 TEST(FuzzHarness, InjectedCmtWritebackSkipIsCaughtAndMinimized) {
-  // Drop exactly one CMT write-back on the fast stack. RefDftl re-derives
+  // Drop exactly one CMT write-back on stack A. RefDftl re-derives
   // dirty state from the event stream, so the cleared-without-programming
   // dirty flag must surface as a model divergence on some seed quickly.
   FuzzOptions options;

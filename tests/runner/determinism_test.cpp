@@ -56,9 +56,7 @@ std::vector<SimResult> run_sweep(unsigned jobs) {
   });
 }
 
-// `compare_fast_path` is off when one side is Simulator::run_serial, which
-// bypasses the registered fast paths by design (its fast_path_writes is 0).
-void expect_identical(const SimResult& a, const SimResult& b, bool compare_fast_path = true) {
+void expect_identical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.first_failure_years, b.first_failure_years);
   EXPECT_EQ(a.elapsed_years, b.elapsed_years);  // exact: same op sequence, same clock math
   EXPECT_EQ(a.records_processed, b.records_processed);
@@ -68,30 +66,29 @@ void expect_identical(const SimResult& a, const SimResult& b, bool compare_fast_
   EXPECT_EQ(a.erase_summary.stddev, b.erase_summary.stddev);
   EXPECT_EQ(a.erase_summary.min, b.erase_summary.min);
   EXPECT_EQ(a.erase_summary.max, b.erase_summary.max);
-  if (compare_fast_path) {
-    EXPECT_EQ(a.counters.fast_path_writes, b.counters.fast_path_writes);
-  }
   EXPECT_EQ(a.counters.host_writes, b.counters.host_writes);
   EXPECT_EQ(a.counters.host_reads, b.counters.host_reads);
   EXPECT_EQ(a.counters.gc_erases, b.counters.gc_erases);
   EXPECT_EQ(a.counters.swl_erases, b.counters.swl_erases);
   EXPECT_EQ(a.counters.gc_live_copies, b.counters.gc_live_copies);
   EXPECT_EQ(a.counters.swl_live_copies, b.counters.swl_live_copies);
+  EXPECT_EQ(a.counters.map_reads, b.counters.map_reads);
+  EXPECT_EQ(a.counters.map_writes, b.counters.map_writes);
   EXPECT_EQ(a.chip_counters.reads, b.chip_counters.reads);
   EXPECT_EQ(a.chip_counters.programs, b.chip_counters.programs);
   EXPECT_EQ(a.chip_counters.erases, b.chip_counters.erases);
   EXPECT_EQ(a.chip_counters.payload_arena_allocations, b.chip_counters.payload_arena_allocations);
 }
 
-// The batched record pipeline (carry buffer, hoisted stop checks, fast
-// write/read paths) must be bit-identical to the per-record reference loop —
+// The batched record pipeline (carry buffer, hoisted stop checks, pre-split
+// LBA wrap) must be bit-identical to the per-record reference loop —
 // including when a run stops mid-batch on a record cap or a wear-out.
 TEST(SweepDeterminism, BatchedRunMatchesSerialReference) {
   const ExperimentScale scale = tiny_scale();
   wear::LevelerConfig lc;
   lc.threshold = 4;
-  for (const LayerKind layer : {LayerKind::ftl, LayerKind::nftl}) {
-    SCOPED_TRACE(layer == LayerKind::ftl ? "ftl" : "nftl");
+  for (const LayerKind layer : {LayerKind::ftl, LayerKind::nftl, LayerKind::dftl}) {
+    SCOPED_TRACE(to_string(layer));
     const trace::Trace base = make_base_trace(scale, layer);
     const SimConfig config = make_sim_config(scale, layer, lc);
     struct Stop {
@@ -115,9 +112,9 @@ TEST(SweepDeterminism, BatchedRunMatchesSerialReference) {
       EXPECT_EQ(nb, ns);
       const SimResult a = batched->result();
       const SimResult b = serial->result();
-      expect_identical(a, b, /*compare_fast_path=*/false);
-      EXPECT_GT(a.counters.fast_path_writes, 0u);   // batched run used the fast path
-      EXPECT_EQ(b.counters.fast_path_writes, 0u);   // reference loop never does
+      expect_identical(a, b);
+      // The DFTL leg must really page its map through flash.
+      if (layer == LayerKind::dftl) EXPECT_GT(a.counters.map_reads, 0u);
     }
   }
 }
@@ -154,15 +151,13 @@ TEST(SweepDeterminism, ShardedReplayMatchesSerialReference) {
         run_sharded_on(serial_runner, config, scale, base, scale.max_years, kRecords, kShards,
                        /*use_serial=*/true);
     EXPECT_EQ(reference.records_processed, kRecords);
-    EXPECT_EQ(reference.counters.fast_path_writes, 0u);  // reference loop never fast-paths
 
     for (const unsigned jobs : {1u, 2u, 8u}) {
       SCOPED_TRACE("jobs " + std::to_string(jobs));
       runner::SweepRunner pool(jobs);
       const SimResult merged =
           run_sharded_on(pool, config, scale, base, scale.max_years, kRecords, kShards);
-      expect_identical(merged, reference, /*compare_fast_path=*/false);
-      EXPECT_GT(merged.counters.fast_path_writes, 0u);  // batched shards used the fast path
+      expect_identical(merged, reference);
     }
   }
 }

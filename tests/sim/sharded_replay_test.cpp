@@ -1,7 +1,7 @@
 // Edge cases of the sharded-replay path: the shard_record_budget
 // preconditions, zero-budget tail shards, and the merge_shard_results
-// reduction (single-shard identity, earliest first failure, geometry
-// mismatch). Companion to the determinism pins in runner/determinism_test —
+// reduction (single-shard identity, earliest first failure, counter sums,
+// geometry mismatch). Companion to the determinism pins in runner/determinism_test —
 // this file covers the corners a healthy sweep never visits.
 #include <gtest/gtest.h>
 
@@ -166,6 +166,21 @@ TEST(ShardedReplay, MergeSumsWearAndRecomputesSummary) {
   EXPECT_EQ(m.erase_summary.stddev, expected.stddev);
   EXPECT_EQ(m.erase_summary.min, expected.min);
   EXPECT_EQ(m.erase_summary.max, expected.max);
+}
+
+TEST(ShardedReplay, MergeSumsMapIoCounters) {
+  // DFTL shards do translation-page I/O; the merged point must carry every
+  // shard's map reads and writes, not shard 0's alone.
+  SimResult a = synthetic_result({1, 2}, std::nullopt, 1.0, 10);
+  SimResult b = synthetic_result({3, 4}, std::nullopt, 1.0, 10);
+  a.counters.map_reads = 7;
+  a.counters.map_writes = 3;
+  b.counters.map_reads = 11;
+  b.counters.map_writes = 5;
+  const SimResult m = merge_shard_results({a, b});
+  EXPECT_EQ(m.counters.map_reads, 18u);
+  EXPECT_EQ(m.counters.map_writes, 8u);
+  EXPECT_EQ(m.counters.host_writes, 20u);
 }
 
 TEST(ShardedReplay, MergeRejectsMismatchedGeometry) {

@@ -42,12 +42,12 @@
 //   swl_fuzz --minimize FILE [--out FILE]
 //       Shrink a failing schedule file (default output: FILE.min).
 //
-//   --inject-bug skip-betupdate   deliberately drop one SWL-BETUpdate on the
-//                                 fast stack — the harness must catch it
+//   --inject-bug skip-betupdate   deliberately drop one SWL-BETUpdate on
+//                                 stack A — the harness must catch it
 //                                 (self-test of the oracles' teeth).
 //   --inject-bug skip-cmt-writeback
 //                                 deliberately drop one DFTL CMT write-back
-//                                 on the fast stack (use with --layer dftl);
+//                                 on stack A (use with --layer dftl);
 //                                 the harness must catch it.
 //   --fail-dir DIR                where failing schedules are written
 //                                 (default: current directory).
@@ -170,8 +170,7 @@ int run_one(const Cli& cli, std::uint64_t seed) {
     return report_failure(cli, schedule, outcome, std::to_string(seed));
   }
   std::cout << "seed " << seed << ": ok, " << schedule.steps.size() << " steps, fingerprint "
-            << std::hex << outcome.fingerprint << std::dec << ", fast-path writes "
-            << outcome.fast_path_writes << "\n";
+            << std::hex << outcome.fingerprint << std::dec << "\n";
   return 0;
 }
 
