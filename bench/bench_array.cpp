@@ -102,8 +102,8 @@ int main(int argc, char** argv) {
       pj.set("coordinator", arm.coordinator);
       if (arm.coordinator) pj.set("coordinator_threshold", arm.threshold);
       pj.set("rounds", out.rounds);
-      pj.set("migrations", out.coordinator.migrations);
-      pj.set("migration_copies", out.array.migration_copies);
+      pj.set("array", runner::fields_json(out.array));
+      pj.set("coordinator_stats", runner::fields_json(out.coordinator));
       runner::Json cross = runner::Json::object();
       cross.set("mean", out.cross_chip.mean);
       cross.set("stddev", out.cross_chip.stddev);

@@ -181,32 +181,22 @@ inline double eff_t(const Options& opt, double paper_t) {
   return sim::scaled_threshold(paper_t, opt.scale);
 }
 
-/// The SimResult fields worth tracking across PRs, as a JSON object.
+/// A SimResult as a JSON object: the run's scalars plus every listed field
+/// of its counter structs. Derived ratios (total erases, map-write
+/// amplification, records/s, ...) are left to the reader; EXPERIMENTS.md
+/// gives each formula. `perf` is wall-clock and varies run to run.
 inline runner::Json sim_result_json(const sim::SimResult& r) {
   runner::Json j = runner::Json::object();
   if (r.first_failure_years.has_value()) j.set("first_failure_years", *r.first_failure_years);
   j.set("elapsed_years", r.elapsed_years);
   j.set("records_processed", r.records_processed);
-  j.set("total_erases", r.counters.total_erases());
-  j.set("swl_erases", r.counters.swl_erases);
-  j.set("total_live_copies", r.counters.total_live_copies());
   j.set("erase_mean", r.erase_summary.mean);
   j.set("erase_stddev", r.erase_summary.stddev);
   j.set("erase_max", static_cast<std::uint64_t>(r.erase_summary.max));
-  // Mapping I/O (zero for in-RAM-map layers; the DFTL's flash-resident map
-  // meters every translation-page read/program here).
-  j.set("map_reads", r.counters.map_reads);
-  j.set("map_writes", r.counters.map_writes);
-  j.set("map_write_amplification", r.counters.map_write_amplification());
-  // Replay-pipeline diagnostics (wall-clock; see sim::PerfCounters). Unlike
-  // everything above these vary run to run — they describe how fast the
-  // simulation went, not what it computed.
-  runner::Json perf = runner::Json::object();
-  perf.set("records_per_second", r.perf.records_per_second());
-  perf.set("batch_fill_ratio", r.perf.batch_fill_ratio());
-  perf.set("source_ns_per_record", r.perf.source_ns_per_record());
-  perf.set("replay_ns_per_record", r.perf.replay_ns_per_record());
-  j.set("perf", std::move(perf));
+  j.set("counters", runner::fields_json(r.counters));
+  j.set("chip_counters", runner::fields_json(r.chip_counters));
+  j.set("leveler_stats", runner::fields_json(r.leveler_stats));
+  j.set("perf", runner::fields_json(r.perf));
   return j;
 }
 

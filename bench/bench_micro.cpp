@@ -26,11 +26,11 @@
 //                                (kept small: baselines record on any host)
 //   - replay_ftl / replay_nftl /
 //     replay_dftl                the headline: Simulator::run over a
-//                                SegmentReplaySource at the default scale,
-//                                with the batched pipeline's PerfCounters
-//                                attached to the point (replay_dftl also
-//                                reports map_reads/map_writes — the wear
-//                                cost of the flash-resident map)
+//                                SegmentReplaySource at the default scale;
+//                                each point carries the run's SimResult
+//                                counters (sim_result_json) as "replay" —
+//                                map_reads/map_writes there are the wear
+//                                cost of replay_dftl's flash-resident map
 //   - replay_ftl_sharded         the same budget split over --shards device
 //                                replicas on the --jobs thread pool with a
 //                                deterministic merge
@@ -51,6 +51,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -77,33 +78,65 @@ double now_seconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - since).count();
 }
 
+/// What one repetition of a point measured.
+struct Rep {
+  std::uint64_t items = 0;
+  /// Timed seconds, set by bodies that keep their setup (a device, a
+  /// scheduler) out of the timing; negative = run_point times the whole body.
+  double seconds = -1.0;
+  /// Artifact detail, written as the point's "replay" object when set.
+  runner::Json replay;
+  /// p99 request latency; nonzero adds a lower-is-better <name>_p99_ns point.
+  std::uint64_t p99_ns = 0;
+};
+
 /// Runs `body` kReps times (it performs the same fixed work each time) and
 /// keeps the fastest repetition — best-of-N suppresses scheduler and
 /// frequency-scaling noise far better than averaging, which the 15%
-/// regression gate needs. Prints the human line and appends the point the
-/// perf gate keys on: {name, items, seconds, items_per_second}. `body` must
-/// return the number of items it processed.
+/// regression gate needs; a p99 latency keeps the lowest. Prints the human
+/// line and appends the point the perf gate keys on: {name, items, seconds,
+/// items_per_second}. `body` returns the number of items it processed, or a
+/// Rep.
 constexpr int kReps = 3;
 
 template <typename Body>
 void run_point(bench::BenchReport& report, const std::string& name, Body&& body) {
-  std::uint64_t items = 0;
-  double seconds = 0.0;
+  Rep best;
+  std::uint64_t p99_ns = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    items = body();
-    const double s = now_seconds(start);
-    if (rep == 0 || s < seconds) seconds = s;
+    Rep r;
+    if constexpr (std::is_same_v<decltype(body()), Rep>) {
+      r = body();
+    } else {
+      r.items = body();
+    }
+    if (r.seconds < 0.0) r.seconds = now_seconds(start);
+    if (rep == 0 || r.p99_ns < p99_ns) p99_ns = r.p99_ns;
+    if (rep == 0 || r.seconds < best.seconds) best = std::move(r);
   }
-  const double ips = seconds > 0.0 ? static_cast<double>(items) / seconds : 0.0;
-  std::cout << "  " << name << ": " << sim::fmt(ips / 1e6, 2) << " Mitems/s  (" << items
-            << " items in " << sim::fmt(seconds * 1e3, 1) << " ms)\n";
+  const double ips = best.seconds > 0.0 ? static_cast<double>(best.items) / best.seconds : 0.0;
+  std::cout << "  " << name << ": " << sim::fmt(ips / 1e6, 2) << " Mitems/s  (" << best.items
+            << " items in " << sim::fmt(best.seconds * 1e3, 1) << " ms";
+  if (p99_ns != 0) std::cout << ", p99 " << p99_ns << " ns";
+  std::cout << ")\n";
   runner::Json point = runner::Json::object();
   point.set("name", name);
-  point.set("items", items);
-  point.set("seconds", seconds);
+  point.set("items", best.items);
+  point.set("seconds", best.seconds);
   point.set("items_per_second", ips);
+  if (best.replay.is_object()) point.set("replay", std::move(best.replay));
   report.add_point(std::move(point));
+  if (p99_ns == 0) return;
+  runner::Json lat = runner::Json::object();
+  lat.set("name", name + "_p99_ns");
+  lat.set("items", best.items);
+  lat.set("seconds", best.seconds);
+  // For latency points items_per_second carries the cost metric itself (ns);
+  // the flag tells perf_compare to gate in the opposite direction.
+  lat.set("items_per_second", static_cast<double>(p99_ns));
+  lat.set("lower_is_better", true);
+  report.add_point(std::move(lat));
 }
 
 std::uint64_t bet_update() {
@@ -301,55 +334,29 @@ host::ShardStack make_host_stack() {
 /// through one queue pair with coalescing off (the serial-equivalence
 /// configuration). One run feeds two points — throughput (host_qd1) and the
 /// p99 write latency from the stream's histogram (host_qd1_p99_ns), which
-/// the perf gate treats as lower-is-better. Both keep the best across
-/// repetitions: fastest run for throughput, lowest p99 for latency.
-void host_qd1_points(bench::BenchReport& report) {
+/// the perf gate treats as lower-is-better.
+Rep host_qd1() {
   constexpr std::uint64_t kOps = 100'000;
-  std::uint64_t p99_ns = 0;
-  std::uint64_t ops = 0;
-  double seconds = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    std::vector<host::ShardStack> stacks;
-    stacks.push_back(make_host_stack());
-    host::HostConfig config;
-    config.coalesce_writes = false;
-    host::HostScheduler sched(std::move(stacks), config);
-    host::QueuePair& qp = sched.open_queue_pair();
-    sched.start();
-    const std::uint64_t sectors = sched.sector_count();
-    const std::uint64_t lane_mask = sched.shard_device(0).lane_mask();
-    Rng rng(11);
-    const auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < kOps; ++i) {
-      SWL_CHECK_OK(qp.write_sector(rng.below(sectors), rng.next() & lane_mask));
-    }
-    const double s = now_seconds(start);
-    sched.stop();
-    ops = kOps;
-    const std::uint64_t rep_p99 = qp.write_latency().quantile(0.99);
-    if (rep == 0 || s < seconds) seconds = s;
-    if (rep == 0 || rep_p99 < p99_ns) p99_ns = rep_p99;
+  std::vector<host::ShardStack> stacks;
+  stacks.push_back(make_host_stack());
+  host::HostConfig config;
+  config.coalesce_writes = false;
+  host::HostScheduler sched(std::move(stacks), config);
+  host::QueuePair& qp = sched.open_queue_pair();
+  sched.start();
+  const std::uint64_t sectors = sched.sector_count();
+  const std::uint64_t lane_mask = sched.shard_device(0).lane_mask();
+  Rng rng(11);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    SWL_CHECK_OK(qp.write_sector(rng.below(sectors), rng.next() & lane_mask));
   }
-  const double ips = seconds > 0.0 ? static_cast<double>(ops) / seconds : 0.0;
-  std::cout << "  host_qd1: " << sim::fmt(ips / 1e6, 2) << " Mreq/s  (" << ops << " requests in "
-            << sim::fmt(seconds * 1e3, 1) << " ms, p99 " << p99_ns << " ns)\n";
-
-  runner::Json point = runner::Json::object();
-  point.set("name", "host_qd1");
-  point.set("items", ops);
-  point.set("seconds", seconds);
-  point.set("items_per_second", ips);
-  report.add_point(std::move(point));
-
-  runner::Json lat = runner::Json::object();
-  lat.set("name", "host_qd1_p99_ns");
-  lat.set("items", ops);
-  lat.set("seconds", seconds);
-  // For latency points items_per_second carries the cost metric itself (ns);
-  // the flag tells perf_compare to gate in the opposite direction.
-  lat.set("items_per_second", static_cast<double>(p99_ns));
-  lat.set("lower_is_better", true);
-  report.add_point(std::move(lat));
+  Rep r;
+  r.items = kOps;
+  r.seconds = now_seconds(start);
+  sched.stop();
+  r.p99_ns = qp.write_latency().quantile(0.99);
+  return r;
 }
 
 /// The cross-thread hand-off cost: 2 client threads driving 2 shards
@@ -397,161 +404,69 @@ std::uint64_t host_mt() {
 
 /// The headline benchmark: the full batched replay pipeline — Simulator::run
 /// pulling a SegmentReplaySource through the layer's write()/read() at this
-/// binary's --blocks/--seed scale.
-void replay_point(bench::BenchReport& report, const bench::Options& opt, sim::LayerKind kind,
-                  const trace::Trace& base) {
+/// binary's --blocks/--seed scale. The "replay" object is the run's
+/// sim_result_json: the deterministic counters double as a semantics canary
+/// (they must not move unless the simulation itself changed), `perf` is
+/// wall-clock.
+Rep replay(const bench::Options& opt, sim::LayerKind kind, const trace::Trace& base) {
   constexpr std::uint64_t kRecords = 8'000'000;
-  const std::string name =
-      std::string("replay_") + (kind == sim::LayerKind::ftl    ? "ftl"
-                                : kind == sim::LayerKind::nftl ? "nftl"
-                                                               : "dftl");
-  // Best-of-kReps like run_point; every repetition replays the same records
-  // into a fresh simulator, and the reported counters come from the fastest.
-  std::uint64_t records = 0;
-  double seconds = 0.0;
-  sim::SimResult result;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto fresh = sim::make_simulator(sim::make_sim_config(opt.scale, kind, std::nullopt));
-    trace::SegmentReplaySource src(base, 600.0, opt.scale.seed ^ 0x1234);
-    const auto start = std::chrono::steady_clock::now();
-    records = fresh->run(src, 1e6, false, kRecords);
-    const double s = now_seconds(start);
-    if (rep == 0 || s < seconds) {
-      seconds = s;
-      result = fresh->result();
-    }
-  }
-
-  const double ips = seconds > 0.0 ? static_cast<double>(records) / seconds : 0.0;
-  const sim::PerfCounters& perf = result.perf;
-  std::cout << "  " << name << ": " << sim::fmt(ips / 1e6, 2) << " Mrec/s  (" << records
-            << " records in " << sim::fmt(seconds * 1e3, 1) << " ms, batch fill "
-            << sim::fmt(perf.batch_fill_ratio() * 100.0, 1) << "%)\n";
-
-  runner::Json point = runner::Json::object();
-  point.set("name", name);
-  point.set("items", records);
-  point.set("seconds", seconds);
-  point.set("items_per_second", ips);
-  // Pipeline detail for the artifact: wall-clock perf counters plus the
-  // deterministic counters that double as a semantics canary — they must not
-  // move unless the simulation itself changed.
-  runner::Json extra = runner::Json::object();
-  extra.set("records_per_second", perf.records_per_second());
-  extra.set("batch_fill_ratio", perf.batch_fill_ratio());
-  extra.set("source_ns_per_record", perf.source_ns_per_record());
-  extra.set("replay_ns_per_record", perf.replay_ns_per_record());
-  extra.set("host_writes", result.counters.host_writes);
-  extra.set("total_erases", result.counters.total_erases());
-  extra.set("total_live_copies", result.counters.total_live_copies());
-  // Mapping I/O: zero for the in-RAM-map layers, the wear overhead of the
-  // flash-resident map for replay_dftl.
-  extra.set("map_reads", result.counters.map_reads);
-  extra.set("map_writes", result.counters.map_writes);
-  point.set("replay", std::move(extra));
-  report.add_point(std::move(point));
+  auto simulator = sim::make_simulator(sim::make_sim_config(opt.scale, kind, std::nullopt));
+  trace::SegmentReplaySource src(base, 600.0, opt.scale.seed ^ 0x1234);
+  const auto start = std::chrono::steady_clock::now();
+  Rep r;
+  r.items = simulator->run(src, 1e6, false, kRecords);
+  r.seconds = now_seconds(start);
+  r.replay = bench::sim_result_json(simulator->result());
+  return r;
 }
 
 /// The sharded replay pipeline: replay_ftl's record budget split across
 /// `--shards` device replicas executed on a `--jobs`-worker SweepRunner and
 /// merged deterministically — the one micro point whose wall time uses the
 /// thread pool (the merged result is identical for every --jobs value).
-void sharded_replay_point(bench::BenchReport& report, const bench::Options& opt,
-                          const trace::Trace& base) {
+Rep sharded_replay(const bench::Options& opt, const trace::Trace& base) {
   constexpr std::uint64_t kRecords = 8'000'000;
   const sim::SimConfig config =
       sim::make_sim_config(opt.scale, sim::LayerKind::ftl, std::nullopt);
-  double seconds = 0.0;
-  sim::SimResult result;
-  for (int rep = 0; rep < kReps; ++rep) {
-    runner::SweepRunner pool(opt.jobs);
-    const auto start = std::chrono::steady_clock::now();
-    sim::SimResult merged =
-        sim::run_sharded_on(pool, config, opt.scale, base, 1e6, kRecords, opt.shards);
-    const double s = now_seconds(start);
-    if (rep == 0 || s < seconds) {
-      seconds = s;
-      result = std::move(merged);
-    }
-  }
-  const double ips =
-      seconds > 0.0 ? static_cast<double>(result.records_processed) / seconds : 0.0;
-  std::cout << "  replay_ftl_sharded: " << sim::fmt(ips / 1e6, 2) << " Mrec/s  ("
-            << result.records_processed << " records, " << opt.shards << " shard(s) on "
-            << runner::resolve_jobs(opt.jobs) << " job(s))\n";
-
-  runner::Json point = runner::Json::object();
-  point.set("name", "replay_ftl_sharded");
-  point.set("items", result.records_processed);
-  point.set("seconds", seconds);
-  point.set("items_per_second", ips);
-  runner::Json extra = runner::Json::object();
-  extra.set("shards", static_cast<std::uint64_t>(opt.shards));
-  extra.set("jobs", static_cast<std::uint64_t>(runner::resolve_jobs(opt.jobs)));
-  // Merged deterministic canaries: must not move unless the simulation, the
-  // shard count or the seed derivation changed.
-  extra.set("host_writes", result.counters.host_writes);
-  extra.set("total_erases", result.counters.total_erases());
-  extra.set("total_live_copies", result.counters.total_live_copies());
-  point.set("replay", std::move(extra));
-  report.add_point(std::move(point));
+  runner::SweepRunner pool(opt.jobs);
+  const auto start = std::chrono::steady_clock::now();
+  const sim::SimResult merged =
+      sim::run_sharded_on(pool, config, opt.scale, base, 1e6, kRecords, opt.shards);
+  Rep r;
+  r.seconds = now_seconds(start);
+  r.items = merged.records_processed;
+  r.replay = bench::sim_result_json(merged);
+  r.replay.set("shards", static_cast<std::uint64_t>(opt.shards));
+  r.replay.set("jobs", static_cast<std::uint64_t>(runner::resolve_jobs(opt.jobs)));
+  return r;
 }
 
 /// The multi-chip replay pipeline: serial routing + per-channel parallel
 /// dispatch across a 2x2 array with per-chip SW Levelers and the global
 /// coordinator evaluating every round. Wall time uses the --jobs pool; the
 /// outcome is identical for every --jobs value.
-void array_replay_point(bench::BenchReport& report, const bench::Options& opt) {
+Rep array_replay(const bench::Options& opt, const sim::ArrayScale& scale,
+                 const trace::Trace& base) {
   constexpr std::uint64_t kRecords = 4'000'000;
-  sim::ArrayScale scale;
-  scale.chip = opt.scale;
-  scale.channels = 2;
-  scale.dies = 2;
   wear::LevelerConfig lc;
   lc.k = 0;
   lc.threshold = bench::eff_t(opt, 100.0);
-  const trace::Trace base = sim::make_array_base_trace(scale, sim::LayerKind::ftl);
-
-  double seconds = 0.0;
-  sim::ArrayOutcome out;
-  for (int rep = 0; rep < kReps; ++rep) {
-    runner::SweepRunner pool(opt.jobs);
-    const auto start = std::chrono::steady_clock::now();
-    sim::ArrayOutcome fresh = sim::run_array_on(pool, scale, sim::LayerKind::ftl, lc, base, 1e6,
-                                                kRecords, /*stop_on_failure=*/false);
-    const double s = now_seconds(start);
-    if (rep == 0 || s < seconds) {
-      seconds = s;
-      out = std::move(fresh);
-    }
-  }
-  const std::uint64_t routed = out.array.records_routed;
-  const double ips = seconds > 0.0 ? static_cast<double>(routed) / seconds : 0.0;
-  std::cout << "  replay_array: " << sim::fmt(ips / 1e6, 2) << " Mrec/s  (" << routed
-            << " records over " << scale.chip_count() << " chips on "
-            << runner::resolve_jobs(opt.jobs) << " job(s), " << out.coordinator.migrations
-            << " migration(s))\n";
-
-  runner::Json point = runner::Json::object();
-  point.set("name", "replay_array");
-  point.set("items", routed);
-  point.set("seconds", seconds);
-  point.set("items_per_second", ips);
-  runner::Json extra = runner::Json::object();
-  extra.set("channels", static_cast<std::uint64_t>(scale.channels));
-  extra.set("dies", static_cast<std::uint64_t>(scale.dies));
-  extra.set("jobs", static_cast<std::uint64_t>(runner::resolve_jobs(opt.jobs)));
-  extra.set("rounds", out.rounds);
-  // Deterministic canaries: must not move unless the simulation, the routing
-  // or the coordinator policy changed.
-  extra.set("records_processed", out.combined.records_processed);
-  extra.set("host_writes", out.combined.counters.host_writes);
-  extra.set("total_erases", out.combined.counters.total_erases());
-  extra.set("migrations", out.coordinator.migrations);
-  extra.set("migration_copies", out.array.migration_copies);
-  extra.set("cross_chip_max_over_avg", out.cross_chip.max_over_avg);
-  point.set("replay", std::move(extra));
-  report.add_point(std::move(point));
+  runner::SweepRunner pool(opt.jobs);
+  const auto start = std::chrono::steady_clock::now();
+  const sim::ArrayOutcome out = sim::run_array_on(pool, scale, sim::LayerKind::ftl, lc, base,
+                                                  1e6, kRecords, /*stop_on_failure=*/false);
+  Rep r;
+  r.seconds = now_seconds(start);
+  r.items = out.array.records_routed;
+  r.replay = bench::sim_result_json(out.combined);
+  r.replay.set("channels", static_cast<std::uint64_t>(scale.channels));
+  r.replay.set("dies", static_cast<std::uint64_t>(scale.dies));
+  r.replay.set("jobs", static_cast<std::uint64_t>(runner::resolve_jobs(opt.jobs)));
+  r.replay.set("rounds", out.rounds);
+  r.replay.set("array", runner::fields_json(out.array));
+  r.replay.set("coordinator", runner::fields_json(out.coordinator));
+  r.replay.set("cross_chip_max_over_avg", out.cross_chip.max_over_avg);
+  return r;
 }
 
 }  // namespace
@@ -595,15 +510,20 @@ int main(int argc, char** argv) {
   run_point(report, "trace_generation", &trace_generation);
 
   run_point(report, "victim_select", &victim_select);
-  host_qd1_points(report);
+  run_point(report, "host_qd1", &host_qd1);
   run_point(report, "host_mt", &host_mt);
 
   const trace::Trace base = sim::make_base_trace(opt.scale, sim::LayerKind::ftl);
-  replay_point(report, opt, sim::LayerKind::ftl, base);
-  replay_point(report, opt, sim::LayerKind::nftl, base);
-  replay_point(report, opt, sim::LayerKind::dftl, base);
-  sharded_replay_point(report, opt, base);
-  array_replay_point(report, opt);
+  run_point(report, "replay_ftl", [&] { return replay(opt, sim::LayerKind::ftl, base); });
+  run_point(report, "replay_nftl", [&] { return replay(opt, sim::LayerKind::nftl, base); });
+  run_point(report, "replay_dftl", [&] { return replay(opt, sim::LayerKind::dftl, base); });
+  run_point(report, "replay_ftl_sharded", [&] { return sharded_replay(opt, base); });
+  sim::ArrayScale array_scale;
+  array_scale.chip = opt.scale;
+  array_scale.channels = 2;
+  array_scale.dies = 2;
+  const trace::Trace array_base = sim::make_array_base_trace(array_scale, sim::LayerKind::ftl);
+  run_point(report, "replay_array", [&] { return array_replay(opt, array_scale, array_base); });
 
   return report.finish();
 }

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/bitvec.hpp"
+#include "core/fields.hpp"
 #include "core/types.hpp"
 #include "runner/sweep_runner.hpp"
 #include "sim/simulator.hpp"
@@ -67,7 +68,19 @@ struct ArrayCounters {
   std::uint64_t records_dropped = 0;
   std::uint64_t migrations = 0;        ///< stripe exchanges performed
   std::uint64_t migration_copies = 0;  ///< pages rewritten by those exchanges
+
+  static constexpr auto fields() {
+    return std::tuple{Field{"records_routed", &ArrayCounters::records_routed},
+                      Field{"writes_routed", &ArrayCounters::writes_routed},
+                      Field{"reads_routed", &ArrayCounters::reads_routed},
+                      Field{"reads_unmapped", &ArrayCounters::reads_unmapped},
+                      Field{"records_dropped", &ArrayCounters::records_dropped},
+                      Field{"migrations", &ArrayCounters::migrations},
+                      Field{"migration_copies", &ArrayCounters::migration_copies}};
+  }
+  friend bool operator==(const ArrayCounters&, const ArrayCounters&) = default;
 };
+static_assert(sizeof(ArrayCounters) == 8 * field_count<ArrayCounters>);
 
 class ChipArray {
  public:

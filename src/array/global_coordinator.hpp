@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "array/chip_array.hpp"
+#include "core/fields.hpp"
 
 namespace swl::array {
 
@@ -53,7 +54,14 @@ struct Decision {
 struct CoordinatorStats {
   std::uint64_t evaluations = 0;
   std::uint64_t migrations = 0;
+
+  static constexpr auto fields() {
+    return std::tuple{Field{"evaluations", &CoordinatorStats::evaluations},
+                      Field{"migrations", &CoordinatorStats::migrations}};
+  }
+  friend bool operator==(const CoordinatorStats&, const CoordinatorStats&) = default;
 };
+static_assert(sizeof(CoordinatorStats) == 8 * field_count<CoordinatorStats>);
 
 class GlobalLevelCoordinator {
  public:

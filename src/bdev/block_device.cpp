@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "core/contracts.hpp"
+#include "core/fnv1a.hpp"
 
 namespace swl::bdev {
 
@@ -73,19 +74,6 @@ Status BlockDevice::read_sector(SectorIndex sector, std::uint64_t* value) {
   return Status::ok;
 }
 
-namespace {
-
-std::uint64_t fnv1a_token(std::span<const std::uint8_t> bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 Status BlockDevice::write_sector_bytes(SectorIndex sector, std::span<const std::uint8_t> data) {
   // The shared page_buffer_ scratch makes this path reentrancy-hostile: a
   // second thread in here mid-RMW would interleave its bytes into ours. The
@@ -104,7 +92,7 @@ Status BlockDevice::write_sector_bytes(SectorIndex sector, std::span<const std::
   }
   std::copy(data.begin(), data.end(),
             page_buffer_.begin() + static_cast<std::ptrdiff_t>(lane_of(sector) * sector_size_));
-  const Status st = layer_.write(lba, fnv1a_token(page_buffer_), page_buffer_);
+  const Status st = layer_.write(lba, Fnv1a().bytes(page_buffer_).value(), page_buffer_);
   if (st != Status::ok) return st;
   ++counters_.sector_writes;
   ++counters_.page_writes;

@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "core/fields.hpp"
 #include "core/sync.hpp"
 #include "tl/translation_layer.hpp"
 
@@ -34,7 +35,16 @@ struct BdevCounters {
   std::uint64_t rmw_page_reads = 0;
   /// Page writes issued to the translation layer.
   std::uint64_t page_writes = 0;
+
+  static constexpr auto fields() {
+    return std::tuple{Field{"sector_writes", &BdevCounters::sector_writes},
+                      Field{"sector_reads", &BdevCounters::sector_reads},
+                      Field{"rmw_page_reads", &BdevCounters::rmw_page_reads},
+                      Field{"page_writes", &BdevCounters::page_writes}};
+  }
+  friend bool operator==(const BdevCounters&, const BdevCounters&) = default;
 };
+static_assert(sizeof(BdevCounters) == 8 * field_count<BdevCounters>);
 
 class BlockDevice {
  public:

@@ -508,7 +508,13 @@ bool Dftl::gc_once() {
     victim = select_fallback_victim();
   }
   if (victim == kInvalidBlock) return false;
-  return clean_block(victim);
+  if (clean_block(victim)) return true;
+  // Mount reconcile cannot answer out_of_space. When failed programs before
+  // the remount drained the pool and the chosen victim's live pages find no
+  // destination, the most-invalid block may need none.
+  if (mount_truth_ == nullptr) return false;
+  const BlockIndex fallback = select_fallback_victim();
+  return fallback != kInvalidBlock && fallback != victim && clean_block(fallback);
 }
 
 bool Dftl::clean_block(BlockIndex victim) {
@@ -538,9 +544,11 @@ bool Dftl::clean_data_block(BlockIndex victim) {
   });
   // Exact destination accounting before touching anything (block-granular:
   // data copies draw on the GC frontier, map rewrites on the translation
-  // frontier, and both classes open new blocks from the shared pool).
+  // frontier, and both classes open new blocks from the shared pool). Mount
+  // reconcile records moves in its truth table and programs no translation
+  // page here.
   std::uint64_t n_rmw = 0;
-  for (std::size_t i = 0; i < live.size(); ++i) {
+  for (std::size_t i = 0; i < live.size() && mount_truth_ == nullptr; ++i) {
     if ((i == 0 || live[i].tvpn != live[i - 1].tvpn) && slot_of_[live[i].tvpn] == kNoSlot) {
       ++n_rmw;
     }

@@ -30,10 +30,10 @@
 // read-modify-write programs of the translation page (the classic DFTL batch
 // update), so clean_block never calls back into CMT eviction.
 //
-// Mapping I/O is metered through TlCounters::map_reads / map_writes; the
-// ratio map_writes / host_writes is the mapping-write amplification surfaced
-// in sweep JSON and the fig5-style endurance comparison against the in-RAM
-// FTL.
+// Mapping I/O is metered through TlCounters::map_reads / map_writes (both in
+// every sweep JSON's `counters` object); the ratio map_writes / host_writes
+// is the mapping-write amplification of the fig5-style endurance comparison
+// against the in-RAM FTL.
 //
 // Crash semantics: data pages carry (lba, sequence) in their spare area
 // exactly like the FTL, so acknowledged writes survive power loss regardless
@@ -49,6 +49,7 @@
 #include <span>
 #include <vector>
 
+#include "core/fields.hpp"
 #include "tl/free_block_pool.hpp"
 #include "tl/gc_policy.hpp"
 #include "tl/translation_layer.hpp"
@@ -105,7 +106,20 @@ struct DftlStats {
   /// Translation pages rewritten by mount() because they disagreed with the
   /// spare-area scan (crash recovery).
   std::uint64_t recovery_writes = 0;
+
+  static constexpr auto fields() {
+    return std::tuple{Field{"cmt_hits", &DftlStats::cmt_hits},
+                      Field{"cmt_misses", &DftlStats::cmt_misses},
+                      Field{"cmt_evictions", &DftlStats::cmt_evictions},
+                      Field{"writebacks", &DftlStats::writebacks},
+                      Field{"batched_writebacks", &DftlStats::batched_writebacks},
+                      Field{"fetches", &DftlStats::fetches},
+                      Field{"gc_rmw_writes", &DftlStats::gc_rmw_writes},
+                      Field{"recovery_writes", &DftlStats::recovery_writes}};
+  }
+  friend bool operator==(const DftlStats&, const DftlStats&) = default;
 };
+static_assert(sizeof(DftlStats) == 8 * field_count<DftlStats>);
 
 /// Why a translation page was programmed (trace-sink event tag).
 enum class TpageWrite : std::uint8_t {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/contracts.hpp"
+#include "core/fnv1a.hpp"
 #include "core/rng.hpp"
 #include "fault/crash_injector.hpp"
 #include "swl/snapshot.hpp"
@@ -12,22 +13,6 @@
 namespace swl::fault {
 
 namespace {
-
-/// Incremental FNV-1a over 64-bit values (same constants as the snapshot
-/// checksum, byte-fed so the digest is word-order exact).
-class Fnv {
- public:
-  void u64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= static_cast<std::uint8_t>(v >> (8 * i));
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 /// A fresh device with a SW Leveler attached (the leveler is owned by the
 /// layer; the raw pointer stays valid for the layer's lifetime).
@@ -173,7 +158,7 @@ CrashPointOutcome run_crash_point(const CrashWorkloadConfig& config, std::uint64
   // No lost sectors: acknowledged writes read back exactly; the in-flight
   // write may surface as either its old or its new version (out-of-place
   // updates never destroy the old version before the new one is durable).
-  Fnv fnv;
+  Fnv1a fnv;
   fnv.u64(crash_point);
   fnv.u64(out.crashed ? 1 : 0);
   fnv.u64(static_cast<std::uint64_t>(out.crash_op));
@@ -233,7 +218,7 @@ CrashSweepResult run_crash_sweep(const CrashWorkloadConfig& config,
   const auto outcomes =
       runner.map(static_cast<std::size_t>(result.crash_points),
                  [&config](std::size_t i) { return run_crash_point(config, i); });
-  Fnv fnv;
+  Fnv1a fnv;
   for (const auto& o : outcomes) {
     SWL_ASSERT(o.crashed, "enumerated crash point did not cut power");
     ++result.crashes;

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "core/contracts.hpp"
+#include "core/fields.hpp"
+#include "core/fnv1a.hpp"
 #include "core/rng.hpp"
 #include "ftl/ftl.hpp"
 #include "host/scheduler.hpp"
@@ -226,14 +228,6 @@ ClientOutcome run_client(QueuePair& qp, std::uint64_t seed, unsigned client,
   return out;
 }
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) noexcept {
-  for (unsigned i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 HostCheckResult run_host_check(std::uint64_t seed) {
@@ -351,7 +345,7 @@ HostCheckResult run_host_check(std::uint64_t seed) {
   for (const ClientOutcome& out : outcomes) {
     shadow.insert(out.shadow.begin(), out.shadow.end());
   }
-  std::uint64_t fp = 0xCBF29CE484222325ULL;
+  Fnv1a fp;
   for (std::uint64_t sector = 0; sector < sectors; ++sector) {
     std::uint64_t got = 0;
     const Status st = sched.read_sector_direct(sector, &got);
@@ -371,24 +365,21 @@ HostCheckResult run_host_check(std::uint64_t seed) {
          << got << ", last write " << want->second;
       return fail(os.str());
     }
-    fp = fnv1a(fp, st == Status::ok ? got : ~std::uint64_t{0});
+    fp.u64(st == Status::ok ? got : ~std::uint64_t{0});
   }
-  result.fingerprint = fp;
+  result.fingerprint = fp.value();
 
   if (p.serial_strict) {
     // Bit-identical configuration: the whole counter surface must match.
-    const bdev::BdevCounters& a = sched.shard_device(0).counters();
-    const bdev::BdevCounters& b = oracle[0].dev->counters();
-    if (a.sector_writes != b.sector_writes || a.sector_reads != b.sector_reads ||
-        a.rmw_page_reads != b.rmw_page_reads || a.page_writes != b.page_writes) {
-      return fail("serial-strict: BdevCounters diverge from the direct serial oracle");
+    std::string diff =
+        first_difference(sched.shard_device(0).counters(), oracle[0].dev->counters());
+    if (!diff.empty()) {
+      return fail("serial-strict: BdevCounters diverge from the direct serial oracle: " + diff);
     }
-    const tl::TlCounters& ta = sched.shard_device(0).layer().counters();
-    const tl::TlCounters& tb = oracle[0].dev->layer().counters();
-    if (ta.host_writes != tb.host_writes || ta.host_reads != tb.host_reads ||
-        ta.gc_erases != tb.gc_erases || ta.swl_erases != tb.swl_erases ||
-        ta.gc_live_copies != tb.gc_live_copies || ta.swl_live_copies != tb.swl_live_copies) {
-      return fail("serial-strict: TlCounters diverge from the direct serial oracle");
+    diff = first_difference(sched.shard_device(0).layer().counters(),
+                            oracle[0].dev->layer().counters());
+    if (!diff.empty()) {
+      return fail("serial-strict: TlCounters diverge from the direct serial oracle: " + diff);
     }
     if (sched.shard_device(0).layer().chip().erase_counts() !=
         oracle[0].dev->layer().chip().erase_counts()) {

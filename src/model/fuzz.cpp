@@ -6,6 +6,8 @@
 #include <utility>
 
 #include "core/contracts.hpp"
+#include "core/fields.hpp"
+#include "core/fnv1a.hpp"
 #include "core/rng.hpp"
 #include "dftl/dftl.hpp"
 #include "fault/crash_injector.hpp"
@@ -26,21 +28,6 @@ class BenignHook final : public nand::PowerLossHook {
   nand::CrashDecision on_operation(nand::CrashOp /*op*/) override {
     return nand::CrashDecision::proceed;
   }
-};
-
-/// FNV-1a, the same digest recovery.cpp uses for state fingerprints.
-class Fnv {
- public:
-  void add(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
 struct Stack {
@@ -67,36 +54,45 @@ class Runner {
   explicit Runner(const FuzzSchedule& schedule) : sched_(schedule) {
     a_.id = "stack A";
     b_.id = "stack B";
-    build_stack(a_);
-    build_stack(b_);
   }
 
   FuzzOutcome run(const FuzzOptions& options) {
     FuzzOutcome out;
     bool injected = false;
-    for (std::size_t i = 0; i < sched_.steps.size(); ++i) {
-      std::string msg = exec_step(sched_.steps[i]);
-      if (msg.empty() && options.inject == FuzzOptions::Inject::skip_bet_update && !injected &&
-          i >= options.inject_at_step && a_.leveler != nullptr && a_.leveler->ecnt() > 0) {
-        a_.leveler->restore_state(a_.leveler->ecnt() - 1, a_.leveler->findex(),
-                                  a_.leveler->bet().bits().words());
-        injected = true;
-      }
-      if (msg.empty() && options.inject == FuzzOptions::Inject::skip_cmt_writeback &&
-          !injected && i >= options.inject_at_step) {
-        if (auto* d = dynamic_cast<dftl::Dftl*>(a_.layer.get())) {
-          // Waits for a dirty CMT slot, exactly like skip_bet_update waits
-          // for the first counted erase.
-          injected = d->debug_drop_first_dirty();
+    std::size_t i = 0;
+    std::string msg;
+    // An exception out of the stacks (a rejected config, a broken invariant)
+    // is the divergence of the step that raised it; building them is step 0.
+    try {
+      build_stack(a_);
+      build_stack(b_);
+      for (; i < sched_.steps.size(); ++i) {
+        msg = exec_step(sched_.steps[i]);
+        if (msg.empty() && options.inject == FuzzOptions::Inject::skip_bet_update &&
+            !injected && i >= options.inject_at_step && a_.leveler != nullptr &&
+            a_.leveler->ecnt() > 0) {
+          a_.leveler->restore_state(a_.leveler->ecnt() - 1, a_.leveler->findex(),
+                                    a_.leveler->bet().bits().words());
+          injected = true;
         }
+        if (msg.empty() && options.inject == FuzzOptions::Inject::skip_cmt_writeback &&
+            !injected && i >= options.inject_at_step) {
+          if (auto* d = dynamic_cast<dftl::Dftl*>(a_.layer.get())) {
+            // Waits for a dirty CMT slot, exactly like skip_bet_update waits
+            // for the first counted erase.
+            injected = d->debug_drop_first_dirty();
+          }
+        }
+        if (msg.empty()) msg = check_all();
+        if (!msg.empty()) break;
       }
-      if (msg.empty()) msg = check_all();
-      if (!msg.empty()) {
-        out.ok = false;
-        out.failing_step = i;
-        out.message = std::move(msg);
-        break;
-      }
+    } catch (const std::exception& e) {
+      msg = std::string("exception: ") + e.what();
+    }
+    if (!msg.empty()) {
+      out.ok = false;
+      out.failing_step = i;
+      out.message = std::move(msg);
     }
     out.fingerprint = fingerprint();
     return out;
@@ -426,26 +422,17 @@ class Runner {
 
   std::string check_pair() {
     std::ostringstream os;
-    const auto& ca = a_.chip->counters();
-    const auto& cb = b_.chip->counters();
-    if (ca.reads != cb.reads || ca.programs != cb.programs || ca.erases != cb.erases ||
-        ca.program_failures != cb.program_failures || ca.erase_failures != cb.erase_failures) {
-      os << "chip counters diverged (A reads/programs/erases " << ca.reads << "/"
-         << ca.programs << "/" << ca.erases << ", B " << cb.reads << "/" << cb.programs << "/"
-         << cb.erases << ")";
-      return os.str();
-    }
+    std::string diff = first_difference(a_.chip->counters(), b_.chip->counters());
+    if (!diff.empty()) return "chip counters diverged (A vs B): " + diff;
     if (a_.chip->erase_counts() != b_.chip->erase_counts()) {
       return "per-block erase counts diverged between stacks A and B";
     }
-    const auto& ta = a_.layer->counters();
-    const auto& tb = b_.layer->counters();
-    if (ta.host_writes != tb.host_writes || ta.host_reads != tb.host_reads ||
-        ta.gc_erases != tb.gc_erases || ta.swl_erases != tb.swl_erases ||
-        ta.gc_live_copies != tb.gc_live_copies || ta.swl_live_copies != tb.swl_live_copies) {
-      os << "translation-layer counters diverged (A gc/swl erases " << ta.gc_erases << "/"
-         << ta.swl_erases << ", B " << tb.gc_erases << "/" << tb.swl_erases << ")";
-      return os.str();
+    diff = first_difference(a_.layer->counters(), b_.layer->counters());
+    if (!diff.empty()) return "translation-layer counters diverged (A vs B): " + diff;
+    if (sched_.params.layer == sim::LayerKind::dftl) {
+      diff = first_difference(static_cast<const dftl::Dftl&>(*a_.layer).stats(),
+                              static_cast<const dftl::Dftl&>(*b_.layer).stats());
+      if (!diff.empty()) return "DFTL statistics diverged (A vs B): " + diff;
     }
     if (a_.leveler != nullptr) {
       const wear::SwLeveler& la = *a_.leveler;
@@ -457,13 +444,8 @@ class Runner {
            << lb.findex() << ")";
         return os.str();
       }
-      const wear::LevelerStats& sa = la.stats();
-      const wear::LevelerStats& sb = lb.stats();
-      if (sa.collections_requested != sb.collections_requested ||
-          sa.bet_resets != sb.bet_resets || sa.activations != sb.activations ||
-          sa.stalls != sb.stalls) {
-        return "leveler statistics diverged between stacks A and B";
-      }
+      diff = first_difference(la.stats(), lb.stats());
+      if (!diff.empty()) return "leveler statistics diverged (A vs B): " + diff;
       for (unsigned slot = 0; slot < wear::SnapshotStore::kSlots; ++slot) {
         if (a_.store.read_slot(slot) != b_.store.read_slot(slot)) {
           os << "BET snapshot slot " << slot << " bytes diverged";
@@ -487,24 +469,26 @@ class Runner {
   }
 
   [[nodiscard]] std::uint64_t fingerprint() const {
-    Fnv fnv;
-    for (const std::uint32_t c : a_.chip->erase_counts()) fnv.add(c);
-    for (const std::uint64_t t : a_.ref_store->tokens()) fnv.add(t);
+    Fnv1a fnv;
+    // A stack that threw while being (re)built has no state to digest.
+    if (a_.layer == nullptr || !a_.ref_store.has_value()) return fnv.value();
+    for (const std::uint32_t c : a_.chip->erase_counts()) fnv.u64(c);
+    for (const std::uint64_t t : a_.ref_store->tokens()) fnv.u64(t);
     const auto& cc = a_.chip->counters();
-    fnv.add(cc.reads);
-    fnv.add(cc.programs);
-    fnv.add(cc.erases);
-    fnv.add(cc.program_failures);
+    fnv.u64(cc.reads);
+    fnv.u64(cc.programs);
+    fnv.u64(cc.erases);
+    fnv.u64(cc.program_failures);
     const auto& tc = a_.layer->counters();
-    fnv.add(tc.host_writes);
-    fnv.add(tc.host_reads);
-    fnv.add(tc.gc_erases);
-    fnv.add(tc.swl_erases);
+    fnv.u64(tc.host_writes);
+    fnv.u64(tc.host_reads);
+    fnv.u64(tc.gc_erases);
+    fnv.u64(tc.swl_erases);
     if (a_.leveler != nullptr) {
-      fnv.add(a_.leveler->ecnt());
-      fnv.add(a_.leveler->fcnt());
-      fnv.add(a_.leveler->findex());
-      for (const std::uint64_t w : a_.leveler->bet().bits().words()) fnv.add(w);
+      fnv.u64(a_.leveler->ecnt());
+      fnv.u64(a_.leveler->fcnt());
+      fnv.u64(a_.leveler->findex());
+      for (const std::uint64_t w : a_.leveler->bet().bits().words()) fnv.u64(w);
     }
     return fnv.value();
   }
@@ -859,8 +843,12 @@ MinimizeResult minimize(const FuzzSchedule& schedule, const FuzzOptions& options
   res.outcome = attempt(schedule);
   if (res.outcome.ok) return res;  // nothing to shrink
 
-  // Everything past the failing step is dead weight.
-  res.schedule.steps.resize(res.outcome.failing_step + 1);
+  // Everything past the failing step is dead weight. (A schedule whose
+  // stacks failed to build reports step 0 even when it has no steps.)
+  const auto truncate = [](FuzzSchedule& s, const FuzzOutcome& o) {
+    s.steps.resize(std::min(o.failing_step + 1, s.steps.size()));
+  };
+  truncate(res.schedule, res.outcome);
 
   // Greedy chunk removal: drop [i, i+chunk) while the schedule still fails.
   bool improved = true;
@@ -874,7 +862,7 @@ MinimizeResult minimize(const FuzzSchedule& schedule, const FuzzOptions& options
                          cand.steps.begin() + static_cast<std::ptrdiff_t>(i + chunk));
         FuzzOutcome out = attempt(cand);
         if (!out.ok) {
-          cand.steps.resize(out.failing_step + 1);
+          truncate(cand, out);
           res.schedule = std::move(cand);
           res.outcome = std::move(out);
           improved = true;
@@ -899,7 +887,7 @@ MinimizeResult minimize(const FuzzSchedule& schedule, const FuzzOptions& options
       cand.steps[i].b /= 2;
       FuzzOutcome out = attempt(cand);
       if (out.ok) break;
-      cand.steps.resize(out.failing_step + 1);
+      truncate(cand, out);
       res.schedule = std::move(cand);
       res.outcome = std::move(out);
     }

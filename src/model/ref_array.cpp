@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "core/contracts.hpp"
+#include "core/fnv1a.hpp"
 #include "sim/array_experiment.hpp"
 #include "sim/sharded_replay.hpp"
 #include "trace/segment_replay.hpp"
@@ -129,28 +130,19 @@ std::vector<double> RefArrayWear::mean_erases() const {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xFFU;
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
-std::uint64_t fingerprint_result(std::uint64_t hash, const sim::SimResult& r) {
-  hash = fnv1a(hash, r.records_processed);
-  hash = fnv1a(hash, r.counters.host_writes);
-  hash = fnv1a(hash, r.counters.host_reads);
-  hash = fnv1a(hash, r.counters.gc_erases);
-  hash = fnv1a(hash, r.counters.swl_erases);
-  hash = fnv1a(hash, r.counters.gc_live_copies);
-  hash = fnv1a(hash, r.counters.swl_live_copies);
-  hash = fnv1a(hash, r.chip_counters.programs);
-  hash = fnv1a(hash, r.chip_counters.erases);
-  hash = fnv1a(hash, r.leveler_stats.collections_requested);
-  hash = fnv1a(hash, r.leveler_stats.bet_resets);
-  for (const std::uint32_t c : r.erase_counts) hash = fnv1a(hash, c);
-  return hash;
+void fingerprint_result(Fnv1a& hash, const sim::SimResult& r) {
+  hash.u64(r.records_processed);
+  hash.u64(r.counters.host_writes);
+  hash.u64(r.counters.host_reads);
+  hash.u64(r.counters.gc_erases);
+  hash.u64(r.counters.swl_erases);
+  hash.u64(r.counters.gc_live_copies);
+  hash.u64(r.counters.swl_live_copies);
+  hash.u64(r.chip_counters.programs);
+  hash.u64(r.chip_counters.erases);
+  hash.u64(r.leveler_stats.collections_requested);
+  hash.u64(r.leveler_stats.bet_resets);
+  for (const std::uint32_t c : r.erase_counts) hash.u64(c);
 }
 
 }  // namespace
@@ -212,16 +204,16 @@ ArrayCheckResult run_array_check(std::uint64_t seed, std::uint32_t jobs) {
     }
   }
 
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  Fnv1a hash;
   for (std::uint32_t c = 0; c < arr.chip_count(); ++c) {
-    hash = fingerprint_result(hash, arr.chip_result(c));
+    fingerprint_result(hash, arr.chip_result(c));
   }
   for (const array::Decision& d : coordinator.log()) {
-    hash = fnv1a(hash, d.round);
-    hash = fnv1a(hash, static_cast<std::uint64_t>(d.migrate));
-    hash = fnv1a(hash, (static_cast<std::uint64_t>(d.from_chip) << 32) | d.to_chip);
+    hash.u64(d.round);
+    hash.u64(static_cast<std::uint64_t>(d.migrate));
+    hash.u64((static_cast<std::uint64_t>(d.from_chip) << 32) | d.to_chip);
   }
-  out.fingerprint = hash;
+  out.fingerprint = hash.value();
   out.migrations = coordinator.stats().migrations;
   oracle.detach(arr);
   return out;

@@ -29,6 +29,7 @@
 
 #include "core/clock.hpp"
 #include "core/contracts.hpp"
+#include "core/fields.hpp"
 #include "core/geometry.hpp"
 #include "core/rng.hpp"
 #include "core/status.hpp"
@@ -105,7 +106,18 @@ struct NandCounters {
   /// first byte-carrying program). Token-only workloads keep this at zero —
   /// the regression guard for the allocation-free simulator hot path.
   std::uint64_t payload_arena_allocations = 0;
+
+  static constexpr auto fields() {
+    return std::tuple{Field{"reads", &NandCounters::reads},
+                      Field{"programs", &NandCounters::programs},
+                      Field{"erases", &NandCounters::erases},
+                      Field{"program_failures", &NandCounters::program_failures},
+                      Field{"erase_failures", &NandCounters::erase_failures},
+                      Field{"payload_arena_allocations", &NandCounters::payload_arena_allocations}};
+  }
+  friend bool operator==(const NandCounters&, const NandCounters&) = default;
 };
+static_assert(sizeof(NandCounters) == 8 * field_count<NandCounters>);
 
 /// Spare area an erased (never re-programmed) page reads back as.
 inline constexpr SpareArea kErasedSpare{};

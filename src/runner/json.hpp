@@ -16,6 +16,8 @@
 #include <variant>
 #include <vector>
 
+#include "core/fields.hpp"
+
 namespace swl::runner {
 
 class Json {
@@ -88,6 +90,15 @@ class Json {
 
   Value value_ = nullptr;
 };
+
+/// A counter struct's listed fields (core/fields.hpp) as one JSON object,
+/// keys in list order.
+template <typename S>
+[[nodiscard]] Json fields_json(const S& s) {
+  Json j = Json::object();
+  for_each_field<S>([&](const auto& f) { j.set(std::string(f.name), s.*f.member); });
+  return j;
+}
 
 }  // namespace swl::runner
 

@@ -53,6 +53,8 @@ struct CrossChipWear {
   double min = 0.0;
   double max = 0.0;
   double max_over_avg = 0.0;
+
+  friend bool operator==(const CrossChipWear&, const CrossChipWear&) = default;
 };
 
 struct ArrayOutcome {

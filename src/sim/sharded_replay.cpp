@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/contracts.hpp"
+#include "core/fields.hpp"
 #include "stats/summary.hpp"
 #include "trace/segment_replay.hpp"
 
@@ -45,30 +46,10 @@ SimResult merge_shard_results(const std::vector<SimResult>& shard_results) {
     for (std::size_t b = 0; b < merged.erase_counts.size(); ++b) {
       merged.erase_counts[b] += s.erase_counts[b];
     }
-    merged.counters.host_writes += s.counters.host_writes;
-    merged.counters.host_reads += s.counters.host_reads;
-    merged.counters.gc_erases += s.counters.gc_erases;
-    merged.counters.swl_erases += s.counters.swl_erases;
-    merged.counters.gc_live_copies += s.counters.gc_live_copies;
-    merged.counters.swl_live_copies += s.counters.swl_live_copies;
-    merged.counters.map_reads += s.counters.map_reads;
-    merged.counters.map_writes += s.counters.map_writes;
-    merged.chip_counters.reads += s.chip_counters.reads;
-    merged.chip_counters.programs += s.chip_counters.programs;
-    merged.chip_counters.erases += s.chip_counters.erases;
-    merged.chip_counters.program_failures += s.chip_counters.program_failures;
-    merged.chip_counters.erase_failures += s.chip_counters.erase_failures;
-    merged.chip_counters.payload_arena_allocations += s.chip_counters.payload_arena_allocations;
-    merged.leveler_stats.collections_requested += s.leveler_stats.collections_requested;
-    merged.leveler_stats.bet_resets += s.leveler_stats.bet_resets;
-    merged.leveler_stats.activations += s.leveler_stats.activations;
-    merged.leveler_stats.stalls += s.leveler_stats.stalls;
-    merged.perf.records += s.perf.records;
-    merged.perf.batches += s.perf.batches;
-    merged.perf.batch_capacity += s.perf.batch_capacity;
-    merged.perf.batch_filled += s.perf.batch_filled;
-    merged.perf.source_seconds += s.perf.source_seconds;
-    merged.perf.replay_seconds += s.perf.replay_seconds;
+    add_fields(merged.counters, s.counters);
+    add_fields(merged.chip_counters, s.chip_counters);
+    add_fields(merged.leveler_stats, s.leveler_stats);
+    add_fields(merged.perf, s.perf);
   }
   // Wear statistics over the union of all shards' blocks: recomputed from
   // the merged table with the same summarize() the serial path uses.

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/clock.hpp"
+#include "core/fields.hpp"
 #include "core/geometry.hpp"
 #include "dftl/dftl.hpp"
 #include "ftl/ftl.hpp"
@@ -63,25 +64,20 @@ struct PerfCounters {
   std::uint64_t batch_filled = 0;   ///< records those calls returned
   double source_seconds = 0.0;      ///< wall time inside next_batch
   double replay_seconds = 0.0;      ///< wall time in the replay loop proper
+  // Derived rates (records/s, batch fill = batch_filled / batch_capacity,
+  // ns per record) are computed by readers; EXPERIMENTS.md has the formulas.
 
-  /// How full the average batch came back (1.0 = the source always filled
-  /// the buffer; low values mean the source, not the device, paces the run).
-  [[nodiscard]] double batch_fill_ratio() const noexcept {
-    return batch_capacity == 0
-               ? 0.0
-               : static_cast<double>(batch_filled) / static_cast<double>(batch_capacity);
+  static constexpr auto fields() {
+    return std::tuple{Field{"records", &PerfCounters::records},
+                      Field{"batches", &PerfCounters::batches},
+                      Field{"batch_capacity", &PerfCounters::batch_capacity},
+                      Field{"batch_filled", &PerfCounters::batch_filled},
+                      Field{"source_seconds", &PerfCounters::source_seconds},
+                      Field{"replay_seconds", &PerfCounters::replay_seconds}};
   }
-  [[nodiscard]] double records_per_second() const noexcept {
-    const double t = source_seconds + replay_seconds;
-    return t > 0.0 ? static_cast<double>(records) / t : 0.0;
-  }
-  [[nodiscard]] double source_ns_per_record() const noexcept {
-    return records == 0 ? 0.0 : source_seconds * 1e9 / static_cast<double>(records);
-  }
-  [[nodiscard]] double replay_ns_per_record() const noexcept {
-    return records == 0 ? 0.0 : replay_seconds * 1e9 / static_cast<double>(records);
-  }
+  friend bool operator==(const PerfCounters&, const PerfCounters&) = default;
 };
+static_assert(sizeof(PerfCounters) == 8 * field_count<PerfCounters>);
 
 /// Snapshot of a simulation's outcome.
 struct SimResult {

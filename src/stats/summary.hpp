@@ -15,6 +15,8 @@ struct Summary {
   double stddev = 0.0;
   std::uint32_t min = 0;
   std::uint32_t max = 0;
+
+  friend bool operator==(const Summary&, const Summary&) = default;
 };
 
 [[nodiscard]] Summary summarize(std::span<const std::uint32_t> values);

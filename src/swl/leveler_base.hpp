@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "core/fields.hpp"
 #include "core/types.hpp"
 #include "swl/cleaner.hpp"
 
@@ -27,7 +28,16 @@ struct LevelerStats {
   std::uint64_t activations = 0;
   /// Defensive aborts: a full pass made no progress (Cleaner skipped blocks).
   std::uint64_t stalls = 0;
+
+  static constexpr auto fields() {
+    return std::tuple{Field{"collections_requested", &LevelerStats::collections_requested},
+                      Field{"bet_resets", &LevelerStats::bet_resets},
+                      Field{"activations", &LevelerStats::activations},
+                      Field{"stalls", &LevelerStats::stalls}};
+  }
+  friend bool operator==(const LevelerStats&, const LevelerStats&) = default;
 };
+static_assert(sizeof(LevelerStats) == 8 * field_count<LevelerStats>);
 
 class Leveler {
  public:

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <system_error>
 
 #if defined(_WIN32)
@@ -12,6 +13,7 @@
 #endif
 
 #include "core/contracts.hpp"
+#include "core/fnv1a.hpp"
 
 namespace swl::wear {
 
@@ -46,15 +48,6 @@ bool get_u64(const std::vector<std::uint8_t>& in, std::size_t& pos, std::uint64_
   return true;
 }
 
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_snapshot(const Snapshot& snap, std::uint64_t sequence) {
@@ -69,7 +62,7 @@ std::vector<std::uint8_t> encode_snapshot(const Snapshot& snap, std::uint64_t se
   put_u64(out, snap.findex);
   put_u64(out, snap.bet_words.size());
   for (const auto w : snap.bet_words) put_u64(out, w);
-  put_u64(out, fnv1a(out.data(), out.size()));
+  put_u64(out, Fnv1a().bytes(out).value());
   return out;
 }
 
@@ -81,7 +74,7 @@ Status decode_snapshot(const std::vector<std::uint8_t>& bytes, Snapshot* out,
   std::size_t pos = body;
   std::uint64_t stored_sum = 0;
   if (!get_u64(bytes, pos, &stored_sum)) return Status::corrupt_snapshot;
-  if (fnv1a(bytes.data(), body) != stored_sum) return Status::corrupt_snapshot;
+  if (Fnv1a().bytes(std::span(bytes).first(body)).value() != stored_sum) return Status::corrupt_snapshot;
 
   pos = 0;
   std::uint32_t magic = 0;

@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/fields.hpp"
 #include "core/status.hpp"
 #include "core/types.hpp"
 #include "nand/nand_chip.hpp"
@@ -54,7 +55,21 @@ struct TlCounters {
     return host_writes == 0 ? 0.0
                             : static_cast<double>(map_writes) / static_cast<double>(host_writes);
   }
+
+  static constexpr auto fields() {
+    return std::tuple{Field{"host_writes", &TlCounters::host_writes},
+                      Field{"host_reads", &TlCounters::host_reads},
+                      Field{"gc_erases", &TlCounters::gc_erases},
+                      Field{"swl_erases", &TlCounters::swl_erases},
+                      Field{"gc_live_copies", &TlCounters::gc_live_copies},
+                      Field{"swl_live_copies", &TlCounters::swl_live_copies},
+                      Field{"fast_path_writes", &TlCounters::fast_path_writes},
+                      Field{"map_reads", &TlCounters::map_reads},
+                      Field{"map_writes", &TlCounters::map_writes}};
+  }
+  friend bool operator==(const TlCounters&, const TlCounters&) = default;
 };
+static_assert(sizeof(TlCounters) == 8 * field_count<TlCounters>);
 
 class TranslationLayer : public wear::Cleaner {
  public:

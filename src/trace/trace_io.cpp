@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/contracts.hpp"
+#include "core/fnv1a.hpp"
 
 namespace swl::trace {
 
@@ -19,21 +20,6 @@ constexpr std::array<char, 4> kMagic{'S', 'W', 'L', 'T'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kChunkBytes = 64 * 1024;
 constexpr std::size_t kRecordBytes = 16;
-
-class Fnv1a {
- public:
-  void update(const void* data, std::size_t len) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 void store_le32(unsigned char* p, std::uint32_t v) noexcept {
   for (std::size_t i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
@@ -81,7 +67,7 @@ class ChunkWriter {
 
   void flush() {
     if (fill_ == 0) return;
-    sum_.update(buf_.data(), fill_);
+    sum_.bytes({buf_.data(), fill_});
     os_.write(reinterpret_cast<const char*>(buf_.data()), static_cast<std::streamsize>(fill_));
     fill_ = 0;
   }
@@ -137,7 +123,7 @@ bool read_header(ChunkReader& in, Fnv1a& sum, std::uint64_t* count) {
   if (std::memcmp(p, kMagic.data(), kMagic.size()) != 0) return false;
   if (load_le32(p + 4) != kVersion) return false;
   *count = load_le64(p + 8);
-  sum.update(p, 16);
+  sum.bytes({p, 16});
   in.consume(16);
   return true;
 }
@@ -178,7 +164,7 @@ Status read_binary(std::istream& is, Trace* out) {
     // Decode every whole buffered record against this chunk in one pass.
     const std::uint64_t take =
         std::min<std::uint64_t>(remaining, in.buffered() / kRecordBytes);
-    sum.update(p, static_cast<std::size_t>(take) * kRecordBytes);
+    sum.bytes({p, static_cast<std::size_t>(take) * kRecordBytes});
     for (std::uint64_t i = 0; i < take; ++i, p += kRecordBytes) {
       if (p[12] > 1) return Status::corrupt_snapshot;
       trace.push_back(TraceRecord{load_le64(p), load_le32(p + 8), static_cast<Op>(p[12])});
@@ -230,7 +216,7 @@ struct BinaryTraceSource::Impl {
       const std::uint64_t take = std::min<std::uint64_t>(
           {remaining, static_cast<std::uint64_t>(n - filled),
            static_cast<std::uint64_t>(in.buffered() / kRecordBytes)});
-      sum.update(p, static_cast<std::size_t>(take) * kRecordBytes);
+      sum.bytes({p, static_cast<std::size_t>(take) * kRecordBytes});
       for (std::uint64_t i = 0; i < take; ++i, p += kRecordBytes) {
         if (p[12] > 1) {
           status = Status::corrupt_snapshot;

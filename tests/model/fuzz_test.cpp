@@ -195,5 +195,93 @@ TEST(FuzzHarness, CrashHeavyScheduleStaysInSync) {
   EXPECT_TRUE(outcome.ok) << "step " << outcome.failing_step << ": " << outcome.message;
 }
 
+
+// Minimized from `swl_fuzz --seed 5587 --layer dftl`: program failures drain
+// the free-block pool to zero, and at the last power cycle mount reconcile
+// must rewrite translation pages with no free block left. Its GC's first
+// choice has live pages and nowhere to copy them; a fully invalid block
+// needs no destination, and reconcile has to fall back to it.
+constexpr const char* kDftlDrainedPoolSchedule = R"(swl-fuzz-schedule v1
+layer dftl
+blocks 48
+pages 8
+page_size 512
+leveler 1
+k 4
+threshold 4
+swl_seed 16430978465019122508
+selection cyclic
+victim greedy
+weight 0.5
+lba_count 262
+vba_count 0
+dftl_tpage 8
+dftl_cmt 4
+dftl_batch 4
+reference_scan_b 1
+program_fail_p 0.016529355657492504
+failure_seed 9657942283809147063
+steps 24
+single_write 111 0 0
+write_burst 12336655844742052920 87 50
+write_burst 12460970912515064413 193 100
+write_burst 14868194556472327056 113 25
+crash_burst 1038685831540411141 47 275
+single_write 219 0 0
+write_burst 9025502718369363909 193 50
+write_burst 12852063019828068023 78 50
+power_cycle 0 0 0
+single_write 17 0 0
+write_burst 17083513186683393034 33 50
+write_burst 8149625231456360077 140 10
+write_burst 6876197370422514533 151 25
+write_burst 14924198907483555199 91 10
+crash_burst 6895414432386785792 2 21
+write_burst 16012293613620426625 22 100
+write_burst 16177213072806411559 135 25
+power_cycle 0 0 0
+crash_burst 2183964860371766150 25 242
+single_write 243 0 0
+write_burst 9214863105067480627 76 25
+write_burst 7340199175648456357 69 50
+write_burst 12708522184226729115 40 10
+power_cycle 0 0 0
+)";
+
+TEST(FuzzHarness, DftlMountReconcilesWithADrainedPool) {
+  FuzzSchedule schedule;
+  std::string error;
+  ASSERT_TRUE(deserialize(kDftlDrainedPoolSchedule, &schedule, &error)) << error;
+  const FuzzOutcome outcome = run_schedule(schedule);
+  EXPECT_TRUE(outcome.ok) << "step " << outcome.failing_step << ": " << outcome.message;
+}
+
+TEST(FuzzHarness, DftlMountGcNeedsNoTranslationFrontier) {
+  // Seed 6847: the reconcile GC has room for its one live page on the GC
+  // frontier but no free block; its data-GC path records moves in the mount
+  // truth table and must not reserve translation-page destinations.
+  const FuzzOutcome outcome = run_schedule(generate_schedule(6847, sim::LayerKind::dftl));
+  EXPECT_TRUE(outcome.ok) << "step " << outcome.failing_step << ": " << outcome.message;
+}
+
+TEST(FuzzHarness, StackExceptionIsAStepDivergence) {
+  // A DFTL shape the layer constructor rejects (no room for the translation
+  // pages): the throw is reported as a divergence with its step and message,
+  // and the minimizer still shrinks the schedule.
+  FuzzSchedule schedule = generate_schedule(2, sim::LayerKind::dftl);
+  schedule.params.lba_count = schedule.params.block_count * schedule.params.pages_per_block;
+  ASSERT_GT(schedule.steps.size(), 1u);
+  const FuzzOutcome outcome = run_schedule(schedule);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.failing_step, 0u);
+  EXPECT_NE(outcome.message.find("exception: precondition failed"), std::string::npos)
+      << outcome.message;
+
+  const MinimizeResult min = minimize(schedule, {});
+  EXPECT_FALSE(min.outcome.ok);
+  EXPECT_EQ(min.outcome.message, outcome.message);
+  EXPECT_LT(min.schedule.steps.size(), schedule.steps.size());
+}
+
 }  // namespace
 }  // namespace swl::model

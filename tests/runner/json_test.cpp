@@ -5,8 +5,11 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
 
+#include "bench_common.hpp"
 #include "core/contracts.hpp"
+#include "core/fields.hpp"
 
 namespace swl::runner {
 namespace {
@@ -152,6 +155,53 @@ TEST(JsonParse, AccessorsOnWrongTypesReturnEmpty) {
   EXPECT_EQ(num.string(), nullptr);
   EXPECT_FALSE(num.boolean().has_value());
   EXPECT_FALSE(Json("s").number().has_value());
+}
+
+/// Gives every listed field of `s` its own value, counting up from `next`.
+template <typename S>
+void fill_distinct(S& s, std::uint64_t& next) {
+  for_each_field<S>([&](const auto& f) {
+    s.*f.member = static_cast<std::remove_reference_t<decltype(s.*f.member)>>(next++);
+  });
+}
+
+template <typename S>
+void expect_emitted(const Json& doc, const char* key, const S& s) {
+  const Json* obj = doc.find(key);
+  ASSERT_NE(obj, nullptr) << key;
+  for_each_field<S>([&](const auto& f) {
+    const Json* v = obj->find(f.name);
+    ASSERT_NE(v, nullptr) << key << "." << f.name;
+    EXPECT_EQ(v->number(), static_cast<double>(s.*f.member)) << key << "." << f.name;
+  });
+}
+
+TEST(FieldsJson, SimResultJsonCarriesEveryListedField) {
+  sim::SimResult r;
+  r.first_failure_years = 2.5;
+  r.elapsed_years = 3.25;
+  r.records_processed = 1000;
+  r.erase_summary.mean = 4.5;
+  r.erase_summary.stddev = 0.75;
+  r.erase_summary.max = 9;
+  std::uint64_t next = 1;
+  fill_distinct(r.counters, next);
+  fill_distinct(r.chip_counters, next);
+  fill_distinct(r.leveler_stats, next);
+  fill_distinct(r.perf, next);
+
+  const std::optional<Json> doc = Json::parse(bench::sim_result_json(r).dump());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->find("first_failure_years")->number(), 2.5);
+  EXPECT_EQ(doc->find("elapsed_years")->number(), 3.25);
+  EXPECT_EQ(doc->find("records_processed")->number(), 1000.0);
+  EXPECT_EQ(doc->find("erase_mean")->number(), 4.5);
+  EXPECT_EQ(doc->find("erase_stddev")->number(), 0.75);
+  EXPECT_EQ(doc->find("erase_max")->number(), 9.0);
+  expect_emitted(*doc, "counters", r.counters);
+  expect_emitted(*doc, "chip_counters", r.chip_counters);
+  expect_emitted(*doc, "leveler_stats", r.leveler_stats);
+  expect_emitted(*doc, "perf", r.perf);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "core/contracts.hpp"
+#include "core/fields.hpp"
 #include "runner/sweep_runner.hpp"
 #include "sim/experiments.hpp"
 #include "sim/sharded_replay.hpp"
@@ -181,6 +183,37 @@ TEST(ShardedReplay, MergeSumsMapIoCounters) {
   EXPECT_EQ(m.counters.map_reads, 18u);
   EXPECT_EQ(m.counters.map_writes, 8u);
   EXPECT_EQ(m.counters.host_writes, 20u);
+}
+
+/// Gives every listed field of `s` its own value, counting up from `next`.
+template <typename S>
+void fill_distinct(S& s, std::uint64_t& next) {
+  for_each_field<S>([&](const auto& f) {
+    s.*f.member = static_cast<std::remove_reference_t<decltype(s.*f.member)>>(next++);
+  });
+}
+
+template <typename S>
+void expect_doubled(const S& merged, const S& one) {
+  for_each_field<S>([&](const auto& f) {
+    EXPECT_EQ(merged.*f.member, one.*f.member + one.*f.member) << f.name;
+  });
+}
+
+TEST(ShardedReplay, MergeSumsEveryListedCounter) {
+  // Every listed field of the four counter structs, each with its own
+  // value: a field the merge drops or cross-wires cannot come out doubled.
+  SimResult a = synthetic_result({1, 2}, std::nullopt, 1.0, 10);
+  std::uint64_t next = 1;
+  fill_distinct(a.counters, next);
+  fill_distinct(a.chip_counters, next);
+  fill_distinct(a.leveler_stats, next);
+  fill_distinct(a.perf, next);
+  const SimResult m = merge_shard_results({a, a});
+  expect_doubled(m.counters, a.counters);
+  expect_doubled(m.chip_counters, a.chip_counters);
+  expect_doubled(m.leveler_stats, a.leveler_stats);
+  expect_doubled(m.perf, a.perf);
 }
 
 TEST(ShardedReplay, MergeRejectsMismatchedGeometry) {
