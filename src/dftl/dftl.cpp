@@ -451,11 +451,13 @@ BlockIndex Dftl::select_positive_victim(BlockClass cls) {
   });
 }
 
-BlockIndex Dftl::select_fallback_victim() const {
+BlockIndex Dftl::select_fallback_victim() {
   // Most invalid pages, ties to the least-worn, then the lowest index; both
   // classes compete and frontiers are eligible (superseded copies pile up
   // there, and excluding them could wedge the device).
   if (use_victim_index_) {
+    dindex_.flush(chip());
+    tindex_.flush(chip());
     const BlockIndex d = dindex_.most_invalid(chip());
     const BlockIndex t = tindex_.most_invalid(chip());
     if (d == kInvalidBlock) return t;

@@ -318,7 +318,9 @@ class Dftl final : public tl::TranslationLayer {
   /// per configuration — bit-identical either way.
   BlockIndex select_positive_victim(BlockClass cls);
   /// Class-agnostic most-invalid fallback (ties: least worn, lowest index).
-  BlockIndex select_fallback_victim() const;
+  /// Flushes both class indices first: a failed clean can have programmed
+  /// and rolled back pages since the last positive-victim query.
+  BlockIndex select_fallback_victim();
 
   void sync_victim(BlockIndex b) {
     if (!use_victim_index_) return;

@@ -57,6 +57,7 @@ void Nftl::init_config() {
   gc_trigger_cached_ = gc_trigger_level();
   bytes_mode_ = chip().config().store_payload_bytes;
   maybe_invalid_.assign(geo.block_count, 0);
+  fold_copied_.reserve(geo.pages_per_block);
   use_victim_index_ = !config_.reference_victim_scan;
 }
 
@@ -379,9 +380,9 @@ bool Nftl::fold(Vba vba) {
     const BlockIndex fresh = allocate_block(vba);
     // Two-phase: copy everything first, commit the version index only when
     // the whole block succeeded — a failed program abandons `fresh` without
-    // ever publishing pointers into it. The per-offset table is a member
-    // scratch so the (hot) fold path does not allocate.
-    fold_scratch_.assign(pages, kInvalidPpa);
+    // ever publishing pointers into it. The list of copied offsets is a
+    // member scratch so the (hot) fold path does not allocate.
+    fold_copied_.clear();
     bool copied_all = true;
     for (PageIndex offset = 0; offset < pages; ++offset) {
       const Ppa cur = latest_[base + offset];
@@ -416,15 +417,13 @@ bool Nftl::fold(Vba vba) {
       }
       count_live_copy();  // real work even if this attempt is abandoned
       last_write_seq_[fresh] = write_sequence_;
-      fold_scratch_[offset] = Ppa{fresh, offset};
+      fold_copied_.push_back(offset);
     }
     if (!copied_all) {
       release_block(fresh);  // erase (or retire) the abandoned block, retry
       continue;
     }
-    for (PageIndex offset = 0; offset < pages; ++offset) {
-      if (fold_scratch_[offset].valid()) latest_[base + offset] = fold_scratch_[offset];
-    }
+    for (const PageIndex offset : fold_copied_) latest_[base + offset] = Ppa{fresh, offset};
     vmap_[vba].primary = fresh;
     vmap_[vba].replacement = kInvalidBlock;
     vmap_[vba].replacement_next = 0;

@@ -166,9 +166,10 @@ class Nftl final : public tl::TranslationLayer {
   BlockIndex gc_trigger_cached_ = 2;
   // chip().config().store_payload_bytes: fold copies must carry page bytes.
   bool bytes_mode_ = false;
-  // Per-fold new-location table, reused across folds (fold never re-enters
-  // itself: release_block only fires erase observers, which never fold).
-  std::vector<Ppa> fold_scratch_;
+  // Offsets the current fold attempt copied, reused across folds (fold never
+  // re-enters itself: release_block only fires erase observers, which never
+  // fold).
+  std::vector<PageIndex> fold_copied_;
   // Conservative per-block "may hold invalid pages" flag — a superset of the
   // blocks with invalid_page_count > 0, maintained at every page
   // invalidation / failed program (set) and every erase (cleared). The

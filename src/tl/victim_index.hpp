@@ -6,8 +6,8 @@
 // scan. VictimIndex caches the two facts every greedy selection needs —
 //   - which blocks currently have a positive greedy score (a bitmask scanned
 //     word/SIMD-parallel via BitVec::next_set_cyclic), and
-//   - which blocks have any invalid page at all (the candidate mask for the
-//     most-invalid fallback, scanned the same way).
+//   - which blocks have any invalid page at all, bucketed by that count
+//     (the candidates of the most-invalid fallback).
 //
 // Maintenance is write-cheap and query-lazy: every page-state transition
 // (program, failed program, invalidation) just sets one bit in a dirty-block
@@ -16,11 +16,17 @@
 // between GC rounds is re-scored once, and each host write pays one bit-op
 // instead of a score recomputation.
 //
-// An earlier revision kept a bucketed score heap (an intrusive list per
-// invalid-page count) for the fallback; the flat candidate mask replaced it
-// because random host overwrites moved some block between buckets on nearly
-// every write — three pointer-chasing cache misses on the hot path to
-// accelerate a query that fires only when no block scores positive.
+// The most-invalid fallback keeps each candidate block in a bucket keyed by
+// its invalid-page count as of the last flush (one block mask per count plus
+// a mask of the non-empty buckets), so a fallback query walks only the top
+// bucket's members instead of every candidate. NFTL leans on this: its
+// greedy bar almost never clears, so nearly every GC round is a fallback.
+// Buckets move only at flush() and remove(), never on the write path. An
+// earlier revision kept an eager bucketed heap (an intrusive list per
+// invalid count, updated at every page-state change); random host
+// overwrites moved some block between buckets on nearly every write, three
+// pointer-chasing cache misses per host write. Flush-time buckets pay that
+// move once per dirty block per GC round instead.
 //
 // Exactness contract: positivity is the same tl::gc_score(...) > 0.0
 // predicate the reference scan evaluates, precomputed into an integer
@@ -70,8 +76,8 @@ class VictimIndex {
   /// counts would otherwise re-enter the index at the next flush.)
   void remove(BlockIndex b) {
     positive_.clear(b);
-    candidate_.clear(b);
     dirty_.clear(b);
+    rebucket(b, 0);
   }
 
   /// True when any block currently has a positive greedy score.
@@ -83,24 +89,32 @@ class VictimIndex {
     return positive_.next_set_cyclic(start);
   }
 
-  /// The most-invalid fallback victim: the block maximizing the live
-  /// invalid-page count, ties broken by the lowest erase count, then the
-  /// lowest block index — the same total order as the reference fallback
-  /// scans. kInvalidBlock when no indexed block has an invalid page.
+  /// The most-invalid fallback victim: the block maximizing the invalid-page
+  /// count, ties broken by the lowest erase count, then the lowest block
+  /// index — the same total order as the reference fallback scans.
+  /// kInvalidBlock when no indexed block has an invalid page. Requires a
+  /// flushed index: the buckets hold the counts of the last flush().
   [[nodiscard]] BlockIndex most_invalid(const nand::NandChip& chip) const;
 
  private:
+  /// Moves `b` from its current bucket to bucket `invalid` (0 = none).
+  void rebucket(BlockIndex b, PageIndex invalid);
+
   /// Blocks mutated since the last flush().
   BitVec dirty_;
   /// Blocks whose gc_score(valid, invalid, cost_weight_) is > 0.
   BitVec positive_;
-  /// Blocks with at least one invalid page (the fallback candidate set).
-  BitVec candidate_;
+  /// buckets_[i] = blocks with i invalid pages as of the last flush, for
+  /// i >= 1 (the fallback candidates; buckets_[0] stays empty).
+  std::vector<BitVec> buckets_;
+  /// Bit i set iff buckets_[i] is non-empty.
+  BitVec nonempty_;
+  /// bucket_of_[b] = the bucket holding b, 0 when none.
+  std::vector<PageIndex> bucket_of_;
   /// min_invalid_[v] = least invalid count scoring positive with v valid
   /// pages (pages_per_block + 1 when impossible); turns the double-valued
   /// score predicate into one integer compare at flush time.
   std::vector<PageIndex> min_invalid_;
-  BlockIndex block_count_;
 };
 
 }  // namespace swl::tl

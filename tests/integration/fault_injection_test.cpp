@@ -5,6 +5,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "ftl/ftl.hpp"
@@ -175,24 +176,49 @@ TEST(NftlFaults, SurvivesRandomWorkloadUnderModerateInjection) {
 
 TEST(NftlFaults, FoldRetriesWithFreshBlocks) {
   // High failure rate so folds regularly hit a bad page mid-copy; the
-  // two-phase fold must keep every version readable throughout.
+  // two-phase fold must keep every version readable after every write, not
+  // only at the end: an abandoned fold that published its copies would
+  // point the version index into an erased block.
   nand::NandChip chip(chip_config(0.10, 0.0));
   nftl::Nftl nftl(chip, nftl::NftlConfig{});
   Rng rng(13);
   std::map<Lba, std::uint64_t> shadow;
+  // Blocks a write erased beyond the old primary/replacement blocks it
+  // released: fresh fold destinations abandoned after a failed copy. (The
+  // pool never runs low here, so GC never folds on its own.)
+  std::uint64_t abandoned_blocks = 0;
   for (int i = 0; i < 6'000; ++i) {
     const Lba lba = static_cast<Lba>(rng.below(16));  // two VBAs, constant folding
+    std::vector<BlockIndex> pairs_before;
+    for (Vba vba = 0; vba < 2; ++vba) {
+      pairs_before.push_back(nftl.primary_block(vba));
+      pairs_before.push_back(nftl.replacement_block(vba));
+    }
+    const std::uint64_t erases_before = chip.counters().erases;
     const Status st = nftl.write(lba, static_cast<std::uint64_t>(i + 1));
-    if (st == Status::program_failed) continue;  // storm: host retries later
-    ASSERT_EQ(st, Status::ok);
-    shadow[lba] = static_cast<std::uint64_t>(i + 1);
+    std::uint64_t released = 0;
+    for (const BlockIndex b : pairs_before) {
+      if (b == kInvalidBlock) continue;
+      bool still_mapped = false;
+      for (Vba vba = 0; vba < 2; ++vba) {
+        still_mapped = still_mapped || b == nftl.primary_block(vba) ||
+                       b == nftl.replacement_block(vba);
+      }
+      if (!still_mapped) ++released;
+    }
+    abandoned_blocks += chip.counters().erases - erases_before - released;
+    if (st != Status::program_failed) {  // storm: host retries later
+      ASSERT_EQ(st, Status::ok);
+      shadow[lba] = static_cast<std::uint64_t>(i + 1);
+    }
+    ASSERT_NO_THROW(nftl.check_invariants()) << "write " << i;
+    for (const auto& [want_lba, want] : shadow) {
+      std::uint64_t got = 0;
+      ASSERT_EQ(nftl.read(want_lba, &got), Status::ok) << "write " << i << " lba " << want_lba;
+      ASSERT_EQ(got, want) << "write " << i << " lba " << want_lba;
+    }
   }
-  for (const auto& [lba, want] : shadow) {
-    std::uint64_t got = 0;
-    ASSERT_EQ(nftl.read(lba, &got), Status::ok);
-    ASSERT_EQ(got, want);
-  }
-  nftl.check_invariants();
+  EXPECT_GT(abandoned_blocks, 0u) << "no fold was abandoned: the retry path went unexercised";
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 // answers bit-identical against reference scans recomputed from the chip's
 // live counts — the positive-score set, the full cyclic next_positive order
 // from every start, and the most-invalid fallback with its least-worn /
-// lowest-index tie-breaks. Part two runs the same equivalence end-to-end:
+// lowest-index tie-breaks; an NFTL-shaped index (128-page blocks, ties in
+// the top bucket, blocks removed and re-admitted) gets the same checks on
+// the bucketed fallback. Part two runs the same equivalence end-to-end:
 // differential DFTL stacks (victim index vs reference_victim_scan) must stay
 // bit-identical through GC storms in both classes.
 #include "tl/victim_index.hpp"
@@ -33,7 +35,18 @@ namespace {
 constexpr BlockIndex kBlocks = 24;
 constexpr PageIndex kPages = 8;
 
+nand::NandChip make_chip(BlockIndex blocks, PageIndex pages) {
+  nand::NandConfig cc;
+  cc.geometry = FlashGeometry{.block_count = blocks, .pages_per_block = pages,
+                              .page_size_bytes = 512};
+  cc.timing = default_timing(CellType::slc_small_block);
+  return nand::NandChip(cc);
+}
+
 struct ClassState {
+  // indexed[b]: b is a member the index currently holds (not remove()d
+  // since its last mark_dirty) — what the reference scans range over.
+  std::vector<bool> indexed;
   std::vector<BlockIndex> members;
   VictimIndex index;
   // Per-block aging cursors: pages [0, invalidated) are invalid, pages
@@ -41,25 +54,40 @@ struct ClassState {
   std::vector<PageIndex> programmed;
   std::vector<PageIndex> invalidated;
 
-  ClassState(std::vector<BlockIndex> blocks, double weight)
-      : members(std::move(blocks)),
-        index(kBlocks, kPages, weight),
-        programmed(kBlocks, 0),
-        invalidated(kBlocks, 0) {}
+  ClassState(const nand::NandChip& chip, std::vector<BlockIndex> blocks, double weight)
+      : indexed(chip.geometry().block_count, false),
+        members(std::move(blocks)),
+        index(chip.geometry().block_count, chip.geometry().pages_per_block, weight),
+        programmed(chip.geometry().block_count, 0),
+        invalidated(chip.geometry().block_count, 0) {
+    for (const BlockIndex b : members) indexed[b] = true;
+  }
+
+  /// Records a page-state change of `b`; re-admits a removed block.
+  void mark_dirty(BlockIndex b) {
+    index.mark_dirty(b);
+    indexed[b] = true;
+  }
+  /// Drops `b` from the index (and so from the reference scans).
+  void remove(BlockIndex b) {
+    index.remove(b);
+    indexed[b] = false;
+  }
 };
 
-/// One aging step on a random member block: program a free page, invalidate
-/// the oldest valid page, or erase a fully-invalid block back to fresh.
-void age_once(nand::NandChip& chip, ClassState& cls, Rng& rng, std::uint64_t& token) {
-  const BlockIndex b = cls.members[rng.below(cls.members.size())];
-  if (cls.invalidated[b] == kPages) {
+/// One aging step on block `b`: program a free page, invalidate the oldest
+/// valid page, or erase a fully-invalid block back to fresh.
+void age_block(nand::NandChip& chip, ClassState& cls, BlockIndex b, Rng& rng,
+               std::uint64_t& token) {
+  const PageIndex pages = chip.geometry().pages_per_block;
+  if (cls.invalidated[b] == pages) {
     ASSERT_EQ(chip.erase_block(b), Status::ok);
     cls.programmed[b] = 0;
     cls.invalidated[b] = 0;
-    cls.index.remove(b);  // terminally out of the candidate set...
+    cls.remove(b);  // terminally out of the candidate set...
     return;
   }
-  if (cls.programmed[b] < kPages && (cls.invalidated[b] == cls.programmed[b] || rng.chance(0.6))) {
+  if (cls.programmed[b] < pages && (cls.invalidated[b] == cls.programmed[b] || rng.chance(0.6))) {
     nand::SpareArea spare;
     spare.lba = static_cast<Lba>(token);
     spare.sequence = token;
@@ -69,7 +97,12 @@ void age_once(nand::NandChip& chip, ClassState& cls, Rng& rng, std::uint64_t& to
     ASSERT_EQ(chip.invalidate_page(Ppa{b, cls.invalidated[b]}), Status::ok);
     ++cls.invalidated[b];
   }
-  cls.index.mark_dirty(b);  // ...until the next mutation re-admits it
+  cls.mark_dirty(b);  // ...until the next mutation re-admits it
+}
+
+/// One aging step on a random member block.
+void age_once(nand::NandChip& chip, ClassState& cls, Rng& rng, std::uint64_t& token) {
+  age_block(chip, cls, cls.members[rng.below(cls.members.size())], rng, token);
 }
 
 /// Reference: does `b` score positive straight from the chip's live counts?
@@ -77,14 +110,14 @@ bool ref_positive(const nand::NandChip& chip, BlockIndex b, double weight) {
   return gc_score(chip.valid_page_count(b), chip.invalid_page_count(b), weight) > 0.0;
 }
 
-/// Reference cyclic scan: first positive-score member at or after `start`.
+/// Reference cyclic scan: first positive-score indexed block at or after
+/// `start`.
 BlockIndex ref_next_positive(const nand::NandChip& chip, const ClassState& cls, double weight,
                              BlockIndex start) {
-  for (BlockIndex step = 0; step < kBlocks; ++step) {
-    const BlockIndex b = (start + step) % kBlocks;
-    bool member = false;
-    for (const BlockIndex m : cls.members) member = member || m == b;
-    if (member && ref_positive(chip, b, weight)) return b;
+  const BlockIndex blocks = chip.geometry().block_count;
+  for (BlockIndex step = 0; step < blocks; ++step) {
+    const BlockIndex b = (start + step) % blocks;
+    if (cls.indexed[b] && ref_positive(chip, b, weight)) return b;
   }
   return kInvalidBlock;
 }
@@ -92,8 +125,8 @@ BlockIndex ref_next_positive(const nand::NandChip& chip, const ClassState& cls, 
 /// Reference fallback: most invalid pages, ties least worn then lowest index.
 BlockIndex ref_most_invalid(const nand::NandChip& chip, const ClassState& cls) {
   BlockIndex best = kInvalidBlock;
-  for (const BlockIndex b : cls.members) {
-    if (chip.invalid_page_count(b) == 0) continue;
+  for (BlockIndex b = 0; b < chip.geometry().block_count; ++b) {
+    if (!cls.indexed[b] || chip.invalid_page_count(b) == 0) continue;
     if (best == kInvalidBlock) {
       best = b;
       continue;
@@ -111,10 +144,12 @@ BlockIndex ref_most_invalid(const nand::NandChip& chip, const ClassState& cls) {
 void expect_index_matches_reference(const nand::NandChip& chip, ClassState& cls, double weight) {
   cls.index.flush(chip);
   bool any = false;
-  for (const BlockIndex b : cls.members) any = any || ref_positive(chip, b, weight);
+  for (const BlockIndex b : cls.members) {
+    any = any || (cls.indexed[b] && ref_positive(chip, b, weight));
+  }
   ASSERT_EQ(cls.index.any_positive(), any);
   if (any) {
-    for (BlockIndex start = 0; start < kBlocks; ++start) {
+    for (BlockIndex start = 0; start < chip.geometry().block_count; ++start) {
       EXPECT_EQ(cls.index.next_positive(start), ref_next_positive(chip, cls, weight, start))
           << "start " << start;
     }
@@ -123,11 +158,7 @@ void expect_index_matches_reference(const nand::NandChip& chip, ClassState& cls,
 }
 
 void run_two_class_aging(std::uint64_t seed, double weight) {
-  nand::NandConfig cc;
-  cc.geometry = FlashGeometry{.block_count = kBlocks, .pages_per_block = kPages,
-                              .page_size_bytes = 512};
-  cc.timing = default_timing(CellType::slc_small_block);
-  nand::NandChip chip(cc);
+  nand::NandChip chip = make_chip(kBlocks, kPages);
 
   // Blocks 0..17 age as the data class, 18..23 as the (smaller, slower)
   // translation class — the DFTL shape.
@@ -136,8 +167,8 @@ void run_two_class_aging(std::uint64_t seed, double weight) {
   for (BlockIndex b = 0; b < kBlocks; ++b) {
     (b < 18 ? data_blocks : trans_blocks).push_back(b);
   }
-  ClassState data(data_blocks, weight);
-  ClassState trans(trans_blocks, weight);
+  ClassState data(chip, data_blocks, weight);
+  ClassState trans(chip, trans_blocks, weight);
 
   Rng rng(seed);
   std::uint64_t token = 1;
@@ -168,6 +199,70 @@ TEST(VictimIndexTwoClass, NegativeCostWeightMatchesReferenceScans) {
   // A negative weight makes every touched block positive — the positive mask
   // must track exactly, including erased blocks leaving the set.
   run_two_class_aging(21, -0.5);
+}
+
+/// NFTL's shape: 136 blocks of 128 pages, so the 129 invalid-count buckets
+/// and every block mask span several words. Blocks start with distinct erase
+/// counts and age in near lockstep (each round invalidates a page in a
+/// random ~30% of the blocks), so the top bucket regularly holds several
+/// blocks that only the erase count and then the index tell apart. The
+/// winner is also remove()d at times while still holding invalid pages, and
+/// re-admitted by a later mutation.
+void run_nftl_shape_aging(std::uint64_t seed) {
+  constexpr BlockIndex kWideBlocks = 136;
+  constexpr PageIndex kWidePages = 128;
+  constexpr double kWeight = 6.0;  // hardly any block scores positive
+  nand::NandChip chip = make_chip(kWideBlocks, kWidePages);
+  std::vector<BlockIndex> all;
+  for (BlockIndex b = 0; b < kWideBlocks; ++b) all.push_back(b);
+  ClassState cls(chip, all, kWeight);
+  Rng rng(seed);
+  std::uint64_t token = 1;
+
+  // Distinct wear: block b goes through b % 4 full program/invalidate/erase
+  // cycles, then every block is programmed full.
+  for (const BlockIndex b : all) {
+    for (BlockIndex cycle = 0; cycle < b % 4; ++cycle) {
+      while (cls.programmed[b] < kWidePages) age_block(chip, cls, b, rng, token);
+      while (cls.invalidated[b] < kWidePages) age_block(chip, cls, b, rng, token);
+      age_block(chip, cls, b, rng, token);  // erase
+    }
+    while (cls.programmed[b] < kWidePages) age_block(chip, cls, b, rng, token);
+  }
+  expect_index_matches_reference(chip, cls, kWeight);
+
+  int tied_tops = 0;  // flushes whose top bucket split on erase count
+  for (int round = 0; round < 400; ++round) {
+    for (const BlockIndex b : all) {
+      if (rng.chance(0.3)) age_block(chip, cls, b, rng, token);
+      // A fully invalidated block erases on its next step; refill it so it
+      // re-enters with a higher erase count.
+      if (cls.programmed[b] == 0) {
+        while (cls.programmed[b] < kWidePages) age_block(chip, cls, b, rng, token);
+      }
+    }
+    expect_index_matches_reference(chip, cls, kWeight);
+    const BlockIndex top = cls.index.most_invalid(chip);
+    if (top == kInvalidBlock) continue;
+    for (const BlockIndex b : all) {
+      if (b != top && cls.indexed[b] &&
+          chip.invalid_page_count(b) == chip.invalid_page_count(top) &&
+          chip.erase_count(b) != chip.erase_count(top)) {
+        ++tied_tops;
+        break;
+      }
+    }
+    // Drop the winner while it still holds invalid pages, as a fold that
+    // releases its victim does; its next mutation re-admits it.
+    if (rng.chance(0.3)) cls.remove(top);
+  }
+  EXPECT_GT(tied_tops, 0) << "the run never tied the top bucket across erase counts";
+}
+
+TEST(VictimIndexNftlShape, BucketedFallbackMatchesReferenceScans) {
+  for (std::uint64_t seed = 40; seed <= 42; ++seed) {
+    run_nftl_shape_aging(seed);
+  }
 }
 
 // ---------------------------------------------------------------------------
